@@ -23,6 +23,7 @@ from .graph import (
     BasicStats,
     CoauthorshipGraph,
     NodeAttr,
+    ResolvedCorpus,
     TimeWindow,
     basic_stats,
     build_network,
@@ -36,7 +37,6 @@ from .ingest import (
     RecordSet,
     coverage_stats,
     filter_topic,
-    normalize_country,
     parse_records,
     write_records_csv,
     write_records_jsonl,

@@ -1,11 +1,15 @@
 """Command-line front end: ingest -> build -> metrics -> slice/densify ->
 export, plus a combined `report` run.
 
-The pipeline is file-mediated: every stage writes its artifacts into the
-output directory and later stages read them back, so runs are cacheable and
-each step can be re-executed in isolation. A resolved copy of the
-configuration is echoed to config.json; together with the input file it
-fully determines every artifact byte.
+Every stage writes its artifacts into the output directory and receives
+what it consumes: the registry (ingest), the resolved corpus (build, slice,
+densify, report) or the main graph (metrics, export). Standalone stages read
+that input back from the output directory (records.jsonl, graph.json), so
+runs are cacheable and each step can be re-executed in isolation. `report`
+resolves the corpus once and hands the corpus and graph to the other stages
+in memory; it writes the same bytes as the standalone stages in sequence. A
+resolved copy of the configuration is echoed to config.json; together with
+the input file it fully determines every artifact byte.
 """
 
 from __future__ import annotations
@@ -14,16 +18,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .countries import REGIONS, CountryRegistry, builtin_registry
 from .errors import DataError, UsageError
 from .export import LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
-from .graph import CoauthorshipGraph, build_network
+from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import (
     DEFAULT_TOPIC_VARIANTS,
-    RecordSet,
     coverage_stats,
     filter_topic,
     load_variants,
@@ -155,14 +158,13 @@ def _echo_config(cfg: RunConfig, out: Path) -> None:
 # Stages
 
 
-def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: Path) -> RecordSet:
+def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: Path) -> ResolvedCorpus:
     if not cfg.input:
         raise UsageError("--input is required (no records.jsonl found in the output directory)")
     parsed = parse_records(cfg.input, cfg.format)
-    filtered = filter_topic(parsed, _resolve_variants(cfg))
-    filtered.coverage = coverage_stats(filtered, registry)
-    write_records_jsonl(filtered, out / "records.jsonl")
-    cov = filtered.coverage
+    corpus = ResolvedCorpus(filter_topic(parsed, _resolve_variants(cfg)), registry)
+    write_records_jsonl(corpus.rs, out / "records.jsonl")
+    cov = coverage_stats(corpus.rs, corpus.unknown)
     _write_json(
         out / "coverage.json",
         {
@@ -174,30 +176,27 @@ def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: Path) -> Record
             "empty_corpus": cov.empty_corpus,
         },
     )
-    return filtered
+    return corpus
 
 
-def _ensure_records(cfg: RunConfig, registry: CountryRegistry, out: Path) -> RecordSet:
+def _load_corpus(cfg: RunConfig, registry: CountryRegistry, out: Path) -> ResolvedCorpus:
     records_path = out / "records.jsonl"
     if records_path.exists() and not cfg.input:
-        rs = parse_records(records_path, "jsonl")
-        rs.coverage = coverage_stats(rs, registry)
-        return rs
+        return ResolvedCorpus(parse_records(records_path, "jsonl"), registry)
     return stage_ingest(cfg, registry, out)
 
 
-def stage_build(cfg: RunConfig, registry: CountryRegistry, out: Path) -> CoauthorshipGraph:
-    rs = _ensure_records(cfg, registry, out)
-    graph = build_network(rs, registry)
+def stage_build(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> CoauthorshipGraph:
+    graph = corpus.graph()
     graph.save(out / "graph.json")
     return graph
 
 
-def _ensure_graph(cfg: RunConfig, registry: CountryRegistry, out: Path) -> CoauthorshipGraph:
+def _load_graph(cfg: RunConfig, registry: CountryRegistry, out: Path) -> CoauthorshipGraph:
     graph_path = out / "graph.json"
     if graph_path.exists() and not cfg.input:
         return CoauthorshipGraph.load(graph_path)
-    return stage_build(cfg, registry, out)
+    return stage_build(cfg, _load_corpus(cfg, registry, out), out)
 
 
 def _smallworld_doc(graph: CoauthorshipGraph, cfg: RunConfig) -> dict:
@@ -216,23 +215,22 @@ def _smallworld_doc(graph: CoauthorshipGraph, cfg: RunConfig) -> dict:
     }
 
 
-def stage_metrics(cfg: RunConfig, registry: CountryRegistry, out: Path) -> dict:
-    graph = _ensure_graph(cfg, registry, out)
+def stage_metrics(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> dict:
     graph_summary = summary(graph, cfg.clustering_mode)
     _write_json(out / "summary.json", summary_to_dict(graph_summary))
-    _write_json(out / "centrality.json", centrality_table(graph, cfg.clustering_mode))
+    table = centrality_table(graph, cfg.clustering_mode)
+    _write_json(out / "centrality.json", table)
     _write_json(out / "degree_histogram.json", histogram_rows(degree_distribution(graph)))
     sw_doc = _smallworld_doc(graph, cfg)
     _write_json(out / "smallworld.json", sw_doc)
-    return {"graph": graph, "summary": graph_summary, "smallworld": sw_doc}
+    return {"summary": graph_summary, "centrality": table, "smallworld": sw_doc}
 
 
-def stage_slice(cfg: RunConfig, registry: CountryRegistry, out: Path) -> list:
-    rs = _ensure_records(cfg, registry, out)
-    windows = slice_windows(rs, cfg.window_length, cfg.step, cfg.mode)
+def stage_slice(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> list:
+    windows = slice_windows(corpus.rs, cfg.window_length, cfg.step, cfg.mode)
     _write_json(out / "windows.json", [[w.start_year, w.end_year] for w in windows])
     if windows:
-        series = metric_series(rs, registry, windows, "summary", cfg.mode, cfg.clustering_mode)
+        series = metric_series(corpus, windows, "summary", cfg.mode, cfg.clustering_mode)
         csv_text, _ = emit_series(series)
         (out / "series_summary.csv").write_text(csv_text, encoding="utf-8")
     else:
@@ -242,9 +240,8 @@ def stage_slice(cfg: RunConfig, registry: CountryRegistry, out: Path) -> list:
     return windows
 
 
-def stage_densify(cfg: RunConfig, registry: CountryRegistry, out: Path) -> dict:
-    rs = _ensure_records(cfg, registry, out)
-    windows, pairs = densification_snapshots(rs, registry, cfg.window_length)
+def stage_densify(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> dict:
+    windows, pairs = densification_snapshots(corpus, cfg.window_length)
     lines = ["start_year,end_year,n,m"]
     lines += [f"{w.start_year},{w.end_year},{n},{m}" for w, (n, m) in zip(windows, pairs)]
     (out / "snapshots.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -260,8 +257,7 @@ def _layout_spec(cfg: RunConfig) -> LayoutSpec:
     return LayoutSpec(kind=cfg.layout, size_attr=cfg.size_attr, gamma=cfg.gamma, k=cfg.top_k)
 
 
-def stage_export(cfg: RunConfig, registry: CountryRegistry, out: Path) -> None:
-    graph = _ensure_graph(cfg, registry, out)
+def stage_export(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> None:
     partition = {}
     for code in graph.codes():
         region = graph.node(code).region
@@ -289,12 +285,11 @@ def _pairs_text(pairs, limit: int = 6) -> str:
     return ", ".join(shown) if shown else "none"
 
 
-def _report_markdown(cfg, rs, graph_summary, top_rows, top_clique, sw_doc, densify_doc, windows) -> str:
+def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, densify_doc, windows) -> str:
     s = graph_summary
     lines = ["# Country coauthorship network report", ""]
 
     lines += ["## Corpus", ""]
-    cov = rs.coverage
     lines.append(f"- records after topic filter: {cov.total}")
     lines.append(f"- records with affiliation countries: {cov.with_affiliation} ({_pct(cov.affiliation_fraction)})")
     if cov.unknown_country_names:
@@ -388,33 +383,28 @@ def _report_markdown(cfg, rs, graph_summary, top_rows, top_clique, sw_doc, densi
     return "\n".join(lines)
 
 
-def stage_report(cfg: RunConfig, registry: CountryRegistry, out: Path) -> None:
-    rs = _ensure_records(cfg, registry, out)
-    graph = build_network(rs, registry)
-    graph.save(out / "graph.json")
-    # Later stages read the artifacts just written instead of re-ingesting.
-    sub_cfg = replace(cfg, input=None)
-    result = stage_metrics(sub_cfg, registry, out)
-    windows = stage_slice(sub_cfg, registry, out)
-    densify_doc = stage_densify(sub_cfg, registry, out)
-    stage_export(sub_cfg, registry, out)
+def stage_report(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> None:
+    graph = stage_build(cfg, corpus, out)
+    result = stage_metrics(cfg, graph, out)
+    windows = stage_slice(cfg, corpus, out)
+    densify_doc = stage_densify(cfg, corpus, out)
+    stage_export(cfg, graph, out)
 
-    first_years, cumulative = first_year_series(rs, registry)
+    first_years, cumulative = first_year_series(corpus)
     _write_json(out / "first_years.json", first_years)
     regions_csv, regions_svg = emit_series(cumulative, chart="line", columns=list(REGIONS))
     (out / "regions_cumulative.csv").write_text(regions_csv, encoding="utf-8")
     (out / "regions_cumulative.svg").write_text(regions_svg or "", encoding="utf-8")
-    disciplines = discipline_series(rs)
+    disciplines = discipline_series(corpus.rs)
     disc_csv, disc_svg = emit_series(disciplines, chart="line")
     (out / "disciplines.csv").write_text(disc_csv, encoding="utf-8")
     (out / "disciplines.svg").write_text(disc_svg or "", encoding="utf-8")
 
-    graph_summary = result["summary"]
-    table = centrality_table(graph, cfg.clustering_mode)
-    by_code = {row["code"]: row for row in table}
+    by_code = {row["code"]: row for row in result["centrality"]}
     top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)] if graph.n else []
     top_clique = is_clique(graph, [row["code"] for row in top_rows]) if top_rows else False
-    markdown = _report_markdown(cfg, rs, graph_summary, top_rows, top_clique, result["smallworld"], densify_doc, windows)
+    cov = coverage_stats(corpus.rs, corpus.unknown)
+    markdown = _report_markdown(cfg, cov, result["summary"], top_rows, top_clique, result["smallworld"], densify_doc, windows)
     (out / "report.md").write_text(markdown, encoding="utf-8")
     print(f"report written to {out / 'report.md'}")
 
@@ -429,6 +419,18 @@ _HANDLERS = {
     "report": stage_report,
 }
 
+# What each stage consumes, loaded once per run: the registry, the resolved
+# corpus or the main graph.
+_INPUTS = {
+    "ingest": lambda cfg, registry, out: registry,
+    "build": _load_corpus,
+    "metrics": _load_graph,
+    "slice": _load_corpus,
+    "densify": _load_corpus,
+    "export": _load_graph,
+    "report": _load_corpus,
+}
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         registry = _load_registry(cfg)
         _echo_config(cfg, out)
-        _HANDLERS[cfg.command](cfg, registry, out)
+        _HANDLERS[cfg.command](cfg, _INPUTS[cfg.command](cfg, registry, out), out)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,29 +85,32 @@ class CountryRegistry:
         The aliases cell is semicolon-joined; historic is true/false.
         """
         entries = []
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = {"code", "display_name", "region", "historic", "aliases"}
-            if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-                raise DataError(f"registry header must contain {sorted(expected)}")
-            for lineno, row in enumerate(reader, start=2):
-                historic_raw = (row["historic"] or "").strip().casefold()
-                if historic_raw in ("true", "1", "yes"):
-                    historic = True
-                elif historic_raw in ("false", "0", "no", ""):
-                    historic = False
-                else:
-                    raise DataError(f"bad historic flag {row['historic']!r}", line=lineno)
-                aliases = tuple(a.strip() for a in (row["aliases"] or "").split(";") if a.strip())
-                entries.append(
-                    CountryEntry(
-                        code=(row["code"] or "").strip().upper(),
-                        display_name=(row["display_name"] or "").strip(),
-                        region=(row["region"] or "").strip(),
-                        historic=historic,
-                        aliases=aliases,
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                reader = csv.DictReader(fh)
+                expected = {"code", "display_name", "region", "historic", "aliases"}
+                if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+                    raise DataError(f"registry header must contain {sorted(expected)}")
+                for lineno, row in enumerate(reader, start=2):
+                    historic_raw = (row["historic"] or "").strip().casefold()
+                    if historic_raw in ("true", "1", "yes"):
+                        historic = True
+                    elif historic_raw in ("false", "0", "no", ""):
+                        historic = False
+                    else:
+                        raise DataError(f"bad historic flag {row['historic']!r}", line=lineno)
+                    aliases = tuple(a.strip() for a in (row["aliases"] or "").split(";") if a.strip())
+                    entries.append(
+                        CountryEntry(
+                            code=(row["code"] or "").strip().upper(),
+                            display_name=(row["display_name"] or "").strip(),
+                            region=(row["region"] or "").strip(),
+                            historic=historic,
+                            aliases=aliases,
+                        )
                     )
-                )
+        except UnicodeDecodeError as exc:
+            raise DataError(f"registry file {path} is not valid UTF-8: {exc}") from exc
         return cls(entries)
 
 

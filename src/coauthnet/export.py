@@ -18,8 +18,8 @@ from xml.sax.saxutils import escape
 from .countries import REGIONS
 from .errors import DataError, UsageError
 from .graph import CoauthorshipGraph
-from .metrics import top_k_by_degree
-from .temporal import WindowSeries
+from .metrics import GraphSummary, summary_to_dict, top_k_by_degree
+from .temporal import SUMMARY_SELECTORS, WindowSeries
 
 LAYOUT_KINDS = ("circular", "grouped_circles", "center_top_k", "year_bands")
 SIZE_ATTRS = ("paper_count", "degree", "none")
@@ -32,19 +32,6 @@ EDGE_W_MIN = 0.0015
 EDGE_W_MAX = 0.0080
 
 _CANVAS = 1000.0
-
-_SUMMARY_COLUMNS = (
-    "n",
-    "m",
-    "density",
-    "mean_degree",
-    "max_degree",
-    "diameter",
-    "mean_path_length",
-    "avg_clustering",
-    "isolated_count",
-    "giant_size",
-)
 
 _PALETTE = (
     "#4878a8",
@@ -488,17 +475,15 @@ def emit_series(series, chart: str = "none", columns: list[str] | None = None) -
     writer = csv.writer(buf, lineterminator="\n")
 
     if isinstance(series, WindowSeries):
-        from .metrics import GraphSummary, summary_to_dict
-
         if series.values and isinstance(series.values[0], GraphSummary):
-            writer.writerow(["start_year", "end_year", *_SUMMARY_COLUMNS])
+            writer.writerow(["start_year", "end_year", *SUMMARY_SELECTORS])
             rows = []
             for window, value in zip(series.windows, series.values):
                 doc = summary_to_dict(value)
-                rows.append([window.start_year, window.end_year] + [doc[c] for c in _SUMMARY_COLUMNS])
+                rows.append([window.start_year, window.end_year] + [doc[c] for c in SUMMARY_SELECTORS])
             for row in rows:
                 writer.writerow([_format_cell(v) for v in row])
-            chart_columns = {c: [float(row[i + 2]) for row in rows] for i, c in enumerate(_SUMMARY_COLUMNS)}
+            chart_columns = {c: [float(row[i + 2]) for row in rows] for i, c in enumerate(SUMMARY_SELECTORS)}
         else:
             writer.writerow(["start_year", "end_year", series.name])
             for window, value in zip(series.windows, series.values):

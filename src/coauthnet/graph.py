@@ -198,65 +198,81 @@ def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> Coa
     return CoauthorshipGraph(attrs, norm, window or TimeWindow(0, 0))
 
 
+class ResolvedCorpus:
+    """A record set resolved against a registry once and bucketed by year.
+
+    Each distinct raw name is resolved once. The corpus keeps every
+    country's first year over the whole corpus (so grouping by entry year is
+    stable across windows), the per-occurrence tally of names the registry
+    cannot resolve, and per-year paper counts and pair weights. The graph of
+    any window is the sum of the year buckets it contains.
+    """
+
+    def __init__(self, rs: RecordSet, registry: CountryRegistry):
+        self.rs = rs
+        self.registry = registry
+        self.first_year: dict[str, int] = {}
+        self.unknown: dict[str, int] = {}
+        self._years: dict[int, tuple[dict[str, int], dict[tuple[str, str], int]]] = {}
+        resolved: dict[str, str | None] = {}
+        for record in rs.records:
+            found = set()
+            for raw in record.raw_countries:
+                if raw not in resolved:
+                    entry = registry.resolve(raw)
+                    resolved[raw] = entry.code if entry else None
+                if resolved[raw] is None:
+                    self.unknown[raw] = self.unknown.get(raw, 0) + 1
+                else:
+                    found.add(resolved[raw])
+            counts, weights = self._years.setdefault(record.year, ({}, {}))
+            codes = sorted(found)
+            for code in codes:
+                counts[code] = counts.get(code, 0) + 1
+                if code not in self.first_year or record.year < self.first_year[code]:
+                    self.first_year[code] = record.year
+            for pair in combinations(codes, 2):
+                weights[pair] = weights.get(pair, 0) + 1
+
+    def graph(self, window: TimeWindow | None = None) -> CoauthorshipGraph:
+        """The coauthorship graph of the records inside the window.
+
+        Every in-window record contributes +1 to the paper count of each
+        distinct resolved country it lists, and +1 weight to every pair among
+        them; unresolvable names are dropped. The default window covers the
+        whole corpus.
+        """
+        if window is None:
+            window = TimeWindow.covering(self.rs)
+        paper_count: dict[str, int] = {}
+        weights: dict[tuple[str, str], int] = {}
+        for year, (counts, pairs) in self._years.items():
+            if not window.contains(year):
+                continue
+            for code, count in counts.items():
+                paper_count[code] = paper_count.get(code, 0) + count
+            for pair, w in pairs.items():
+                weights[pair] = weights.get(pair, 0) + w
+        nodes = [
+            NodeAttr(
+                code=code,
+                paper_count=count,
+                first_year=self.first_year[code],
+                region=self.registry.get(code).region,
+            )
+            for code, count in paper_count.items()
+        ]
+        edges = [(a, b, w) for (a, b), w in weights.items()]
+        return CoauthorshipGraph(nodes, edges, window)
+
+
 def build_network(
     rs: RecordSet,
     registry: CountryRegistry,
     window: TimeWindow | None = None,
 ) -> CoauthorshipGraph:
-    """Build the coauthorship graph for records inside the window.
-
-    Every in-window record contributes +1 to the paper count of each distinct
-    resolved country it lists, and +1 weight to every pair among them.
-    Unresolvable names are dropped from the record (they stay visible in
-    coverage stats); first_year is computed over the whole corpus so grouping
-    by entry year is stable across windows.
-    """
-    if window is None:
-        window = TimeWindow.covering(rs)
-
-    first_year: dict[str, int] = {}
-    resolved_cache: dict[str, str | None] = {}
-
-    def resolve_codes(raw_names: list[str]) -> list[str]:
-        codes: dict[str, None] = {}
-        for raw in raw_names:
-            if raw not in resolved_cache:
-                entry = registry.resolve(raw)
-                resolved_cache[raw] = entry.code if entry else None
-            code = resolved_cache[raw]
-            if code is not None:
-                codes.setdefault(code)
-        return sorted(codes)
-
-    per_record_codes = []
-    for record in rs.records:
-        codes = resolve_codes(record.raw_countries)
-        per_record_codes.append(codes)
-        for code in codes:
-            if code not in first_year or record.year < first_year[code]:
-                first_year[code] = record.year
-
-    paper_count: dict[str, int] = {}
-    weights: dict[tuple[str, str], int] = {}
-    for record, codes in zip(rs.records, per_record_codes):
-        if not window.contains(record.year):
-            continue
-        for code in codes:
-            paper_count[code] = paper_count.get(code, 0) + 1
-        for a, b in combinations(codes, 2):
-            weights[(a, b)] = weights.get((a, b), 0) + 1
-
-    nodes = [
-        NodeAttr(
-            code=code,
-            paper_count=count,
-            first_year=first_year[code],
-            region=registry.get(code).region,
-        )
-        for code, count in sorted(paper_count.items())
-    ]
-    edges = [(a, b, w) for (a, b), w in sorted(weights.items())]
-    return CoauthorshipGraph(nodes, edges, window)
+    """Build the coauthorship graph for records inside the window (see ResolvedCorpus)."""
+    return ResolvedCorpus(rs, registry).graph(window)
 
 
 @dataclass

@@ -3,17 +3,16 @@
 Canonical input is JSONL (one object per line with fields id, year, text,
 countries, subjects); a CSV alternative uses the same field names with
 semicolon-joined list cells. Records carry affiliation country names as
-written; resolution to canonical codes happens against a CountryRegistry.
+written; resolution to canonical codes happens later, in graph.ResolvedCorpus.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .countries import CountryEntry, CountryRegistry
 from .errors import DataError, UsageError
 
 YEAR_MIN = 1900
@@ -205,47 +204,34 @@ def filter_topic(rs: RecordSet, variants: list[str] | tuple[str, ...]) -> Record
     return out
 
 
-def normalize_country(raw: str, registry: CountryRegistry) -> CountryEntry | None:
-    """Resolve a raw affiliation country name; None when unknown to the registry."""
-    return registry.resolve(raw)
-
-
-def coverage_stats(rs: RecordSet, registry: CountryRegistry | None = None) -> CoverageStats:
+def coverage_stats(rs: RecordSet, unknown: dict[str, int] | None = None) -> CoverageStats:
     """Affiliation coverage of a record set.
 
-    With a registry, also tallies raw country names the registry cannot
-    resolve (one tally per record occurrence); unknowns are data, not errors.
+    `unknown` is the per-occurrence tally of raw country names the registry
+    cannot resolve (ResolvedCorpus.unknown); unknowns are data, not errors.
     """
     total = len(rs.records)
     with_affiliation = sum(1 for r in rs.records if r.raw_countries)
-    unknown: dict[str, int] = {}
-    if registry is not None:
-        for record in rs.records:
-            for raw in record.raw_countries:
-                if registry.resolve(raw) is None:
-                    unknown[raw] = unknown.get(raw, 0) + 1
     return CoverageStats(
         total=total,
         with_affiliation=with_affiliation,
         affiliation_fraction=with_affiliation / total if total else 0.0,
-        unknown_country_names=sorted(unknown.items(), key=lambda kv: (-kv[1], kv[0])),
+        unknown_country_names=sorted((unknown or {}).items(), key=lambda kv: (-kv[1], kv[0])),
         empty_corpus=total == 0,
     )
-
-
-def with_coverage(rs: RecordSet, registry: CountryRegistry) -> RecordSet:
-    """Copy of the record set with registry-aware coverage stats."""
-    return replace(rs, coverage=coverage_stats(rs, registry))
 
 
 def load_variants(path: str | Path) -> tuple[str, ...]:
     """Read topic variants from a file, one per line; '#' starts a comment."""
     variants = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.split("#", 1)[0].strip()
-            if term:
-                variants.append(term)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                term = line.split("#", 1)[0].strip()
+                if term:
+                    variants.append(term)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"variants file {path} is not valid UTF-8: {exc}") from exc
     if not variants:
         raise DataError(f"variants file {path} contains no terms")
     return tuple(variants)

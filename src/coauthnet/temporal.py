@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .countries import REGIONS, CountryRegistry
+from .countries import REGIONS
 from .errors import UsageError
-from .graph import TimeWindow, build_network
+from .graph import ResolvedCorpus, TimeWindow
 from .ingest import RecordSet
 from .metrics import DEFAULT_CLUSTERING_MODE, GraphSummary, summary
 
@@ -80,8 +80,7 @@ def slice_windows(rs: RecordSet, length: int, step: int, mode: str) -> list[Time
 
 
 def metric_series(
-    rs: RecordSet,
-    registry: CountryRegistry,
+    corpus: ResolvedCorpus,
     windows: list[TimeWindow],
     selector: str,
     mode: str = "sliding",
@@ -101,7 +100,7 @@ def metric_series(
             raise UsageError("windows must have strictly increasing end years")
     values = []
     for window in ordered:
-        s = summary(build_network(rs, registry, window), clustering_mode)
+        s = summary(corpus.graph(window), clustering_mode)
         values.append(s if selector == "summary" else getattr(s, selector))
     return WindowSeries(windows=ordered, values=values, mode=mode, name=selector)
 
@@ -178,45 +177,29 @@ def fit_to_dict(fit: LogLogFit) -> dict:
 
 
 def densification_snapshots(
-    rs: RecordSet,
-    registry: CountryRegistry,
+    corpus: ResolvedCorpus,
     length: int,
 ) -> tuple[list[TimeWindow], list[tuple[int, int]]]:
     """(n, m) pairs for cumulative windows of the given growth length."""
-    windows = slice_windows(rs, length, length, "cumulative")
-    pairs = []
-    for window in windows:
-        g = build_network(rs, registry, window)
-        pairs.append((g.n, g.m))
-    return windows, pairs
+    windows = slice_windows(corpus.rs, length, length, "cumulative")
+    return windows, [(g.n, g.m) for g in map(corpus.graph, windows)]
 
 
-def first_year_series(
-    rs: RecordSet,
-    registry: CountryRegistry,
-) -> tuple[dict[str, int], dict[str, dict[int, int]]]:
+def first_year_series(corpus: ResolvedCorpus) -> tuple[dict[str, int], dict[str, dict[int, int]]]:
     """Per-country first publication year, plus cumulative country counts per region.
 
     The cumulative series runs from the earliest first year through the
     corpus maximum year and is non-decreasing; all six regions are present
     even when empty.
     """
-    first_year: dict[str, int] = {}
-    for record in rs.records:
-        for raw in record.raw_countries:
-            entry = registry.resolve(raw)
-            if entry is None:
-                continue
-            if entry.code not in first_year or record.year < first_year[entry.code]:
-                first_year[entry.code] = record.year
+    first_year = corpus.first_year
     cumulative: dict[str, dict[int, int]] = {region: {} for region in REGIONS}
-    span = rs.year_span()
-    if first_year and span is not None:
+    if first_year:
         y0 = min(first_year.values())
-        y1 = span[1]
+        y1 = corpus.rs.year_span()[1]
         by_region: dict[str, list[int]] = {region: [] for region in REGIONS}
         for code, year in first_year.items():
-            by_region[registry.get(code).region].append(year)
+            by_region[corpus.registry.get(code).region].append(year)
         for region in REGIONS:
             years = by_region[region]
             cumulative[region] = {y: sum(1 for fy in years if fy <= y) for y in range(y0, y1 + 1)}

@@ -1,9 +1,12 @@
 import json
+import random
+
+import pytest
 
 from coauthnet import read_pajek
 from coauthnet.cli import main
 
-from conftest import FIXTURE_CORPUS, write_jsonl
+from conftest import FIXTURE_CORPUS, synthetic_corpus_rows, write_jsonl
 
 
 def run(*args):
@@ -137,3 +140,41 @@ def test_sw_samples_and_seed_flags(tmp_path):
     assert sw_a == sw_b
     assert sw_a["sample_count"] == 17
     assert sw_a["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--variants", b"\xff\xfechernobyl\n"),
+        ("--registry", b"code,display_name,region,historic,aliases\nAUT,Aus\xfftria,Europe,false,\n"),
+    ],
+    ids=["variants", "registry"],
+)
+def test_non_utf8_side_file_is_data_exit(tmp_path, capsys, flag, content):
+    side = tmp_path / "side.txt"
+    side.write_bytes(content)
+    assert run("ingest", "--input", FIXTURE_CORPUS, flag, side, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(side) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "synthetic"])
+def test_report_equals_staged_run(tmp_path, capsys, corpus):
+    if corpus == "fixture":
+        corpus = FIXTURE_CORPUS
+    else:
+        rows = synthetic_corpus_rows(random.Random(4), 300, ["Ukraine", "USSR", "France", "Japan", "Atlantis"])
+        corpus = write_jsonl(tmp_path / "synthetic.jsonl", rows)
+    flags = ["--mode", "cumulative", "--window-length", 3, "--step", 3, "--sw-samples", 5, "--seed", 2]
+    report, staged = tmp_path / "report", tmp_path / "staged"
+    assert run("report", "--input", corpus, *flags, "--out", report) == 0
+    assert run("ingest", "--input", corpus, *flags, "--out", staged) == 0
+    for stage in ("build", "metrics", "slice", "densify", "export"):
+        assert run(stage, *flags, "--out", staged) == 0
+    staged_names = sorted(p.name for p in staged.iterdir())
+    assert set(staged_names) <= {p.name for p in report.iterdir()}
+    assert len(staged_names) == 16
+    for name in staged_names:
+        if name != "config.json":
+            assert (report / name).read_bytes() == (staged / name).read_bytes(), name

@@ -1,6 +1,6 @@
 import pytest
 
-from coauthnet import DataError, CountryRegistry, builtin_registry, normalize_country
+from coauthnet import DataError, CountryRegistry, builtin_registry
 from coauthnet.countries import REGIONS
 
 
@@ -26,7 +26,6 @@ def test_alias_table_merges_spellings(registry):
 
 def test_unknown_name_is_none(registry):
     assert registry.resolve("Atlantis") is None
-    assert normalize_country("Atlantis", registry) is None
 
 
 def test_lookup_trims_and_ignores_case(registry):

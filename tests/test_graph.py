@@ -7,6 +7,7 @@ from coauthnet import (
     CoauthorshipGraph,
     DataError,
     NodeAttr,
+    ResolvedCorpus,
     TimeWindow,
     UsageError,
     basic_stats,
@@ -14,6 +15,7 @@ from coauthnet import (
     graph_from_edges,
     induced_subgraph,
     parse_records,
+    slice_windows,
 )
 
 from bruteforce import oracle_edge_weights
@@ -164,19 +166,36 @@ def test_build_is_additive_over_record_partitions(tmp_path, registry):
 
 def test_edge_weights_match_bruteforce_recount(tmp_path, registry):
     rng = random.Random(13)
-    names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada"]
+    names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada", "Atlantis"]
     rows = synthetic_corpus_rows(rng, 400, names)
     rs = _corpus(tmp_path, rows)
-    window = TimeWindow(1990, 2005)
-    g = build_network(rs, registry, window)
+    corpus = ResolvedCorpus(rs, registry)
 
     resolved = []
     for record in rs.records:
-        if not window.contains(record.year):
-            continue
         codes = [registry.resolve(raw).code for raw in record.raw_countries if registry.resolve(raw)]
         resolved.append((record.year, codes))
-    assert oracle_edge_weights(resolved) == {(a, b): w for a, b, w in g.edges()}
+    first_year = {}
+    for year, codes in resolved:
+        for code in codes:
+            first_year[code] = min(first_year.get(code, year), year)
+
+    windows = [TimeWindow(1990, 2005)]
+    for length, step in ((1, 1), (3, 2), (5, 5), (7, 3)):
+        for mode in ("sliding", "cumulative"):
+            windows += slice_windows(rs, length, step, mode)
+    assert len(windows) > 40
+    for window in windows:
+        g = corpus.graph(window)
+        in_window = [(year, codes) for year, codes in resolved if window.contains(year)]
+        assert oracle_edge_weights(in_window) == {(a, b): w for a, b, w in g.edges()}, window
+        paper_count = {}
+        for _, codes in in_window:
+            for code in set(codes):
+                paper_count[code] = paper_count.get(code, 0) + 1
+        assert {c: g.node(c).paper_count for c in g.codes()} == paper_count, window
+        assert {c: g.node(c).first_year for c in g.codes()} == {c: first_year[c] for c in paper_count}, window
+        assert g == build_network(rs, registry, window)
 
 
 def test_induced_subgraph():

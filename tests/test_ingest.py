@@ -5,6 +5,7 @@ import pytest
 
 from coauthnet import (
     DataError,
+    ResolvedCorpus,
     UsageError,
     coverage_stats,
     filter_topic,
@@ -208,7 +209,7 @@ def test_coverage_unknowns_tallied_per_occurrence(tmp_path, registry):
         {"id": "p2", "year": 1990, "countries": ["Atlantis", "Narnia"]},
     ]
     rs = parse_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    cov = coverage_stats(rs, registry)
+    cov = coverage_stats(rs, ResolvedCorpus(rs, registry).unknown)
     assert cov.unknown_country_names == [("Atlantis", 2), ("Narnia", 1)]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from coauthnet import (
     CountryRegistry,
+    ResolvedCorpus,
     TimeWindow,
     UsageError,
     build_network,
@@ -104,7 +105,7 @@ def test_mean_degree_series_strictly_increasing(tmp_path, registry):
     ]
     rs = _corpus(tmp_path, rows)
     windows = slice_windows(rs, 5, 5, "sliding")
-    series = metric_series(rs, registry, windows, "mean_degree", "sliding")
+    series = metric_series(ResolvedCorpus(rs, registry), windows, "mean_degree", "sliding")
     assert series.values[0] < series.values[1]
     assert series.name == "mean_degree"
 
@@ -116,7 +117,7 @@ def test_diameter_series_constant_on_single_edges(tmp_path, registry):
     ]
     rs = _corpus(tmp_path, rows)
     windows = slice_windows(rs, 5, 5, "sliding")
-    series = metric_series(rs, registry, windows, "diameter", "sliding")
+    series = metric_series(ResolvedCorpus(rs, registry), windows, "diameter", "sliding")
     assert series.values == [1, 1]
 
 
@@ -124,17 +125,17 @@ def test_metric_series_validation(tmp_path, registry):
     rs = _span_corpus(tmp_path, [1986, 1990])
     windows = slice_windows(rs, 5, 5, "sliding")
     with pytest.raises(UsageError):
-        metric_series(rs, registry, windows, "nope")
+        metric_series(ResolvedCorpus(rs, registry), windows, "nope")
     with pytest.raises(UsageError):
-        metric_series(rs, registry, [], "mean_degree")
+        metric_series(ResolvedCorpus(rs, registry), [], "mean_degree")
     with pytest.raises(UsageError):
-        metric_series(rs, registry, [TimeWindow(1986, 1990), TimeWindow(1987, 1990)], "mean_degree")
+        metric_series(ResolvedCorpus(rs, registry), [TimeWindow(1986, 1990), TimeWindow(1987, 1990)], "mean_degree")
 
 
 def test_metric_series_summary_objects(tmp_path, registry):
     rs = _span_corpus(tmp_path, [1986, 1992])
     windows = slice_windows(rs, 5, 5, "sliding")
-    series = metric_series(rs, registry, windows, "summary")
+    series = metric_series(ResolvedCorpus(rs, registry), windows, "summary")
     assert len(series.values) == len(windows)
     assert series.values[0].n == 1
 
@@ -175,7 +176,7 @@ def test_densifying_corpus_mean_degree_grows(tmp_path):
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
     rs = _corpus(tmp_path, densifying_corpus_rows())
     windows = slice_windows(rs, 5, 5, "cumulative")
-    series = metric_series(rs, registry, windows, "mean_degree", "cumulative")
+    series = metric_series(ResolvedCorpus(rs, registry), windows, "mean_degree", "cumulative")
     for earlier, later in zip(series.values, series.values[1:]):
         assert later >= earlier
     assert series.values[0] < 2.0
@@ -232,7 +233,7 @@ def test_fit_to_dict_shape():
 def test_densification_snapshots_counts(tmp_path):
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
     rs = _corpus(tmp_path, densifying_corpus_rows())
-    windows, pairs = densification_snapshots(rs, registry, 5)
+    windows, pairs = densification_snapshots(ResolvedCorpus(rs, registry), 5)
     assert len(windows) == len(pairs) == 6
     for (n1, m1), (n2, m2) in zip(pairs, pairs[1:]):
         assert n1 <= n2 and m1 <= m2
@@ -248,7 +249,7 @@ def test_first_year_minimum(tmp_path, registry):
         {"id": "p2", "year": 1990, "countries": ["Ukraine"]},
         {"id": "p3", "year": 1991, "countries": ["Japan"]},
     ]
-    first, _ = first_year_series(_corpus(tmp_path, rows), registry)
+    first, _ = first_year_series(ResolvedCorpus(_corpus(tmp_path, rows), registry))
     assert first == {"JPN": 1991, "UKR": 1986}
 
 
@@ -258,7 +259,7 @@ def test_first_year_cumulative_region_series(tmp_path, registry):
         {"id": "p2", "year": 1987, "countries": ["France"]},
         {"id": "p3", "year": 1989, "countries": ["Ukraine"]},
     ]
-    _, cumulative = first_year_series(_corpus(tmp_path, rows), registry)
+    _, cumulative = first_year_series(ResolvedCorpus(_corpus(tmp_path, rows), registry))
     assert cumulative["Europe"] == {1986: 1, 1987: 2, 1988: 2, 1989: 2}
     assert cumulative["Asia"] == {1986: 0, 1987: 0, 1988: 0, 1989: 0}
 
@@ -268,7 +269,7 @@ def test_first_year_late_joiner(tmp_path, registry):
         {"id": "p1", "year": 1986, "countries": ["Ukraine"]},
         {"id": "p2", "year": 2011, "countries": ["Chile"]},
     ]
-    first, cumulative = first_year_series(_corpus(tmp_path, rows), registry)
+    first, cumulative = first_year_series(ResolvedCorpus(_corpus(tmp_path, rows), registry))
     assert first["CHL"] == 2011
     assert cumulative["SouthAmerica"][2010] == 0
     assert cumulative["SouthAmerica"][2011] == 1
@@ -280,7 +281,7 @@ def test_first_year_series_nondecreasing_and_total(tmp_path, registry):
 
     rows = synthetic_corpus_rows(rng, 250, ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Australia"])
     rs = _corpus(tmp_path, rows)
-    first, cumulative = first_year_series(rs, registry)
+    first, cumulative = first_year_series(ResolvedCorpus(rs, registry))
     final_total = 0
     for region_series in cumulative.values():
         values = [region_series[y] for y in sorted(region_series)]
