@@ -257,6 +257,15 @@ def _layout_spec(cfg: RunConfig) -> LayoutSpec:
     return LayoutSpec(kind=cfg.layout, size_attr=cfg.size_attr, gamma=cfg.gamma, k=cfg.top_k)
 
 
+def _check_config(cfg: RunConfig) -> None:
+    """Reject out-of-range flag values before any artifact is written."""
+    _layout_spec(cfg)
+    if cfg.window_length < 1:
+        raise UsageError("window length must be >= 1")
+    if cfg.step < 1:
+        raise UsageError("window step must be >= 1")
+
+
 def stage_export(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> None:
     partition = {}
     for code in graph.codes():
@@ -437,6 +446,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
+        _check_config(cfg)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         registry = _load_registry(cfg)

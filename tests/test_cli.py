@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -178,3 +179,35 @@ def test_report_equals_staged_run(tmp_path, capsys, corpus):
     for name in staged_names:
         if name != "config.json":
             assert (report / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--top-k", 0), ("--gamma", 2), ("--gamma", 0), ("--window-length", 0), ("--step", 0)],
+)
+def test_bad_flag_value_writes_no_artifact(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert run("report", "--input", FIXTURE_CORPUS, flag, value, "--out", out) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# sha256 of report artifacts on the criterion-9 corpus (seed 0, first 100
+# registry countries, 10,000 records), recorded before the dense metrics
+# kernel replaced the per-node BFS loops; a faster kernel must keep them.
+CRITERION_9_DIGESTS = {
+    "smallworld.json": "a55ea0249ec7e8cd91be231ed9db4bb3edc6bca5093018d8aeb0c996e8608716",
+    "summary.json": "b3933843a66a2f6fc052accf7bba656af0d75a04deceefdcd1072e992271d9db",
+    "centrality.json": "3f05745d47b97023b75b90e79d61c1068802e719bf6e62af049448c72dbc4734",
+    "series_summary.csv": "92cdf96b555c87caa11fe7a10a9ff1fdaea3e90081986bb9ae21dddc4e5716bb",
+    "snapshots.csv": "2edd51ea703ebe25c48822a4c412542cc8ff0022f0ff6ff0ea3154ee532ceeb3",
+}
+
+
+def test_report_bytes_on_criterion_9_corpus(tmp_path, capsys, registry):
+    names = [registry.get(code).display_name for code in registry.codes()[:100]]
+    corpus = write_jsonl(tmp_path / "big.jsonl", synthetic_corpus_rows(random.Random(0), 10000, names))
+    out = tmp_path / "out"
+    assert run("report", "--input", corpus, "--out", out) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CRITERION_9_DIGESTS}
+    assert digests == CRITERION_9_DIGESTS

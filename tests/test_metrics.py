@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coauthnet import (
     UsageError,
@@ -355,6 +357,42 @@ def test_random_edge_set_properties():
 def test_random_edge_set_covers_all_pairs():
     rng = random.Random(1)
     assert sorted(random_edge_set(5, 10, rng)) == list(combinations(range(5), 2))
+
+
+def loop_random_edge_set(n, m, rng):
+    """Reference: the O(n)-per-pair loop random_edge_set unranked with before
+    its closed form."""
+    total = n * (n - 1) // 2
+    pairs = []
+    for idx in sorted(rng.sample(range(total), m)):
+        offset = idx
+        i = 0
+        row = n - 1
+        while offset >= row:
+            offset -= row
+            i += 1
+            row -= 1
+        pairs.append((i, i + 1 + offset))
+    return pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_random_edge_set_matches_loop_unranking(data):
+    n = data.draw(st.integers(0, 300), label="n")
+    m = data.draw(st.integers(0, n * (n - 1) // 2), label="m")
+    seed = data.draw(st.integers(0, 2**64), label="seed")
+    pairs = random_edge_set(n, m, random.Random(seed))
+    assert pairs == loop_random_edge_set(n, m, random.Random(seed))
+    assert all(type(i) is int and type(j) is int for i, j in pairs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64])
+def test_random_edge_set_unranks_every_index(n):
+    total = n * (n - 1) // 2
+    pairs = random_edge_set(n, total, random.Random(0))
+    assert pairs == loop_random_edge_set(n, total, random.Random(0))
+    assert pairs == list(combinations(range(n), 2))
 
 
 def test_giant_component_codes():
