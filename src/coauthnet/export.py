@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape
 from .countries import REGIONS
 from .errors import DataError, UsageError
 from .graph import CoauthorshipGraph
-from .metrics import GraphSummary, summary_to_dict, top_k_by_degree
+from .metrics import GraphSummary, top_k_by_degree
 from .temporal import SUMMARY_SELECTORS, WindowSeries
 
 LAYOUT_KINDS = ("circular", "grouped_circles", "center_top_k", "year_bands")
@@ -477,10 +477,10 @@ def emit_series(series, chart: str = "none", columns: list[str] | None = None) -
     if isinstance(series, WindowSeries):
         if series.values and isinstance(series.values[0], GraphSummary):
             writer.writerow(["start_year", "end_year", *SUMMARY_SELECTORS])
-            rows = []
-            for window, value in zip(series.windows, series.values):
-                doc = summary_to_dict(value)
-                rows.append([window.start_year, window.end_year] + [doc[c] for c in SUMMARY_SELECTORS])
+            rows = [
+                [window.start_year, window.end_year] + [getattr(value, c) for c in SUMMARY_SELECTORS]
+                for window, value in zip(series.windows, series.values)
+            ]
             for row in rows:
                 writer.writerow([_format_cell(v) for v in row])
             chart_columns = {c: [float(row[i + 2]) for row in rows] for i, c in enumerate(SUMMARY_SELECTORS)}

@@ -234,6 +234,19 @@ class ResolvedCorpus:
             for pair in combinations(codes, 2):
                 weights[pair] = weights.get(pair, 0) + 1
 
+    def _buckets(self, window: TimeWindow):
+        """The (paper counts, pair weights) buckets of the years inside the window."""
+        return [bucket for year, bucket in self._years.items() if window.contains(year)]
+
+    def size(self, window: TimeWindow) -> tuple[int, int]:
+        """(n, m) of the window's graph, counted without building it."""
+        nodes: set[str] = set()
+        links: set[tuple[str, str]] = set()
+        for counts, pairs in self._buckets(window):
+            nodes.update(counts)
+            links.update(pairs)
+        return len(nodes), len(links)
+
     def graph(self, window: TimeWindow | None = None) -> CoauthorshipGraph:
         """The coauthorship graph of the records inside the window.
 
@@ -246,9 +259,7 @@ class ResolvedCorpus:
             window = TimeWindow.covering(self.rs)
         paper_count: dict[str, int] = {}
         weights: dict[tuple[str, str], int] = {}
-        for year, (counts, pairs) in self._years.items():
-            if not window.contains(year):
-                continue
+        for counts, pairs in self._buckets(window):
             for code, count in counts.items():
                 paper_count[code] = paper_count.get(code, 0) + count
             for pair, w in pairs.items():

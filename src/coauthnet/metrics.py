@@ -21,22 +21,37 @@ The kernel keeps the bytes of every result:
   smallest code.
 
 The kernel is also thread-free: every product is `np.einsum` without
-`optimize` on float32 0/1 matrices (counts are at most n^2, exact in
-float32 up to n = 4096), which runs numpy's own single-threaded loop.
+`optimize`, which runs numpy's own single-threaded loop; the kernel's own
+products are on float32 0/1 matrices (counts are at most n^2, exact in
+float32 up to n = 4096).
 `@`, `np.dot`, `np.matmul` and `tensordot` on float arrays go to the BLAS,
 which on a 2-vCPU host turns two-threaded above about 100^3 multiply-adds;
 a 176 x 176 sgemm then took 5-16 ms per call under contention instead of
 0.09 ms.
 
-Betweenness keeps its Brandes single-source loop, which accumulates in
-ascending code order.
+Betweenness runs Brandes' algorithm for all sources at once on the same
+kernel result, with the source as the row axis of n x n arrays:
+- a forward pass steps through queue positions, appending each popped
+  node's unseen neighbours in ascending code order, so every row holds
+  that source's BFS queue in the single-source loop's order;
+- geodesic counts sigma grow level by level from the hop distances, one
+  einsum per level on float64 0/1 and integer-valued matrices; the counts
+  are integers, exact while below 2^53;
+- a backward pass steps through queue positions from the last, applying
+  `delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])` to the
+  predecessors of each row's node w, the same float operations in the same
+  order per source as the loop;
+- the scores add each source's dependency row in ascending code order.
+So betweenness equals the single-source loop's bit for bit. It costs
+O(n^2) array work per queue position and O(n^3) per BFS level instead of
+O(n m) interpreter steps: a win on dense country graphs, a loss on long
+sparse chains with many levels.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,43 +197,59 @@ def betweenness(g: CoauthorshipGraph) -> dict[str, float]:
     divided by (n-1)(n-2)/2 with the global node count, so a node lying on
     every geodesic scores 1. Graphs with n < 3 score 0 everywhere.
     Accumulation follows the Brandes single-source scheme in ascending code
-    order.
+    order, for all sources at once (see the module docstring).
     """
     codes = g.codes()
     n = len(codes)
-    score = {c: 0.0 for c in codes}
     if n < 3:
-        return score
-    adj = {code: g.neighbors(code) for code in codes}
-    for source in codes:
-        stack: list[str] = []
-        preds: dict[str, list[str]] = {c: [] for c in codes}
-        sigma = {c: 0 for c in codes}
-        sigma[source] = 1
-        dist = {c: -1 for c in codes}
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = {c: 0.0 for c in codes}
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                score[w] += delta[w]
+        return {c: 0.0 for c in codes}
+    geo = _geodesics(g)
+    adj = geo.dist == 1
+    sources = np.arange(n)
+    size = np.bincount(geo.root)[geo.root]
+    # Row s is source s's BFS queue: each popped node appends its unseen
+    # neighbours in ascending index order. Past the end of its component a
+    # row repeats the source, which has no predecessors and so adds nothing.
+    order = np.repeat(sources[:, None], n, axis=1)
+    seen = np.eye(n, dtype=bool)
+    tail = np.ones(n, dtype=np.int64)
+    p = 0
+    while (tail < size).any():
+        new = adj[order[:, p]] & ~seen
+        seen |= new
+        s, w = np.divmod(np.flatnonzero(new), n)
+        counts = np.bincount(s, minlength=n)
+        order[s, np.arange(len(s)) + (tail + counts - np.cumsum(counts))[s]] = w
+        tail += counts
+        p += 1
+    # Geodesic counts level by level: exact integer sums in float64.
+    dist = np.where(seen, geo.dist, -1)
+    a = adj.astype(np.float64)
+    sigma = np.eye(n)
+    for level in range(1, int(dist.max()) + 1):
+        spread = np.einsum("ij,jk->ik", np.where(dist == level - 1, sigma, 0.0), a)
+        sigma += np.where(dist == level, spread, 0.0)
+    # Dependencies in reverse queue order, with the single-source loop's
+    # float operations: delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w]).
+    # Flat index s * n + v; within one step every (s, v) occurs at most once.
+    sig = sigma.ravel()
+    delta = np.zeros(n * n)
+    for p in range(int(size.max()) - 1, 0, -1):
+        w = order[:, p]
+        preds = np.flatnonzero(adj[w] & (dist == dist[sources, w][:, None] - 1))
+        rows = preds // n
+        at = rows * n + w[rows]
+        delta[preds] += (sig[preds] / sig[at]) * (1.0 + delta[at])
+    delta = delta.reshape(n, n)
+    delta[sources, sources] = 0.0
+    # Per-source rows added one by one in ascending order, never np.sum.
+    score = np.zeros(n)
+    for row in delta:
+        score += row
     # Each unordered pair was visited from both ends; fold the factor 2 into
     # the (n-1)(n-2)/2 normalizer.
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {c: score[c] * scale for c in codes}
+    return dict(zip(codes, (score * scale).tolist()))
 
 
 def closeness(g: CoauthorshipGraph) -> dict[str, float]:

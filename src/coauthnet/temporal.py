@@ -182,7 +182,7 @@ def densification_snapshots(
 ) -> tuple[list[TimeWindow], list[tuple[int, int]]]:
     """(n, m) pairs for cumulative windows of the given growth length."""
     windows = slice_windows(corpus.rs, length, length, "cumulative")
-    return windows, [(g.n, g.m) for g in map(corpus.graph, windows)]
+    return windows, [corpus.size(w) for w in windows]
 
 
 def first_year_series(corpus: ResolvedCorpus) -> tuple[dict[str, int], dict[str, dict[int, int]]]:

@@ -17,6 +17,7 @@ from coauthnet import (
     parse_records,
     slice_windows,
 )
+from coauthnet.temporal import densification_snapshots
 
 from bruteforce import oracle_edge_weights
 from conftest import synthetic_corpus_rows, write_jsonl
@@ -196,6 +197,25 @@ def test_edge_weights_match_bruteforce_recount(tmp_path, registry):
         assert {c: g.node(c).paper_count for c in g.codes()} == paper_count, window
         assert {c: g.node(c).first_year for c in g.codes()} == {c: first_year[c] for c in paper_count}, window
         assert g == build_network(rs, registry, window)
+
+
+def test_window_size_matches_built_graph(tmp_path, registry):
+    rng = random.Random(17)
+    names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada", "Atlantis"]
+    rs = _corpus(tmp_path, synthetic_corpus_rows(rng, 400, names))
+    corpus = ResolvedCorpus(rs, registry)
+    assert corpus.unknown
+
+    windows = [TimeWindow(1990, 2005), TimeWindow(1900, 1900)]
+    for length, step in ((1, 1), (3, 2), (5, 5), (7, 3)):
+        for mode in ("sliding", "cumulative"):
+            windows += slice_windows(rs, length, step, mode)
+    assert len(windows) > 40
+    for window in windows:
+        g = corpus.graph(window)
+        assert corpus.size(window) == (g.n, g.m), window
+    snapshots = densification_snapshots(corpus, 2)
+    assert snapshots[1] == [(g.n, g.m) for g in map(corpus.graph, snapshots[0])]
 
 
 def test_induced_subgraph():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from coauthnet import (
     UsageError,
     betweenness,
+    build_network,
     centrality_table,
     closeness,
     clustering,
@@ -16,6 +18,7 @@ from coauthnet import (
     degree_distribution,
     graph_from_edges,
     is_clique,
+    parse_records,
     path_stats,
     small_world,
     summary,
@@ -30,7 +33,7 @@ from bruteforce import (
     oracle_components,
     oracle_path_stats,
 )
-from conftest import random_edges, random_graph
+from conftest import random_edges, random_graph, synthetic_corpus_rows, write_jsonl
 
 
 def k_graph(n):
@@ -157,6 +160,101 @@ def test_betweenness_in_unit_interval():
         g = random_graph(rng, rng.randint(2, 9), rng.random())
         for value in betweenness(g).values():
             assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+def loop_betweenness(g):
+    """Reference: the per-source Brandes loop betweenness ran before it
+    batched all sources; path counts are Python ints."""
+    codes = g.codes()
+    n = len(codes)
+    score = {c: 0.0 for c in codes}
+    if n < 3:
+        return score
+    adj = {code: g.neighbors(code) for code in codes}
+    for source in codes:
+        stack = []
+        preds = {c: [] for c in codes}
+        sigma = {c: 0 for c in codes}
+        sigma[source] = 1
+        dist = {c: -1 for c in codes}
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = {c: 0.0 for c in codes}
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                score[w] += delta[w]
+    scale = 1.0 / ((n - 1) * (n - 2))
+    return {c: score[c] * scale for c in codes}
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """Up to 60 nodes in up to 5 blocks (isolated nodes included) with shuffled codes."""
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
+    n = min(sum(sizes), 60)
+    labels = [f"N{i:02d}" for i in draw(st.permutations(range(n)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = []
+    start = 0
+    for size in sizes:
+        block = labels[start : start + size]
+        p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+        edges += [(a, b) for a, b in combinations(block, 2) if rng.random() < p]
+        start += size
+    return graph_from_edges(edges, nodes=labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_component_graphs())
+def test_betweenness_equals_loop_exactly(g):
+    result = betweenness(g)
+    assert list(result) == g.codes()
+    assert result == loop_betweenness(g)
+
+
+@pytest.mark.parametrize("edges, nodes", [([], []), ([], ["A"]), ([], ["A", "B"]), ([("A", "B")], [])])
+def test_betweenness_below_three_nodes_equals_loop(edges, nodes):
+    g = graph_from_edges(edges, nodes=nodes)
+    assert betweenness(g) == loop_betweenness(g) == {c: 0.0 for c in g.codes()}
+
+
+def test_betweenness_equals_loop_on_criterion_9_graph(tmp_path, registry):
+    names = [registry.get(code).display_name for code in registry.codes()[:100]]
+    rows = synthetic_corpus_rows(random.Random(0), 10000, names)
+    g = build_network(parse_records(write_jsonl(tmp_path / "big.jsonl", rows)), registry)
+    assert (g.n, g.m) == (100, 2453)
+    assert betweenness(g) == loop_betweenness(g)
+
+
+def test_betweenness_counts_2_pow_40_geodesics_exactly():
+    # 40 diamonds in a row: hub H00 - {T, U} - H01 - ... - H40, so H00 and
+    # H40 are joined by 2^40 geodesics.
+    edges = []
+    for k in range(40):
+        left, right = f"H{k:02d}", f"H{k + 1:02d}"
+        edges += [(left, f"T{k:02d}"), (left, f"U{k:02d}"), (f"T{k:02d}", right), (f"U{k:02d}", right)]
+    g = graph_from_edges(edges)
+    result = betweenness(g)
+    assert result == loop_betweenness(g)
+    # Interior hub Hk separates 3k nodes from 3(40-k); each of those pairs
+    # passes through it, and so does half of each neighbouring diamond's
+    # T-U pair.
+    norm = (g.n - 1) * (g.n - 2) / 2
+    for k in range(1, 40):
+        assert math.isclose(result[f"H{k:02d}"] * norm, 9 * k * (40 - k) + 1, rel_tol=1e-12)
 
 
 def test_closeness_path():

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from coauthnet import closeness, clustering, components, graph_from_edges, path_stats, small_world
+from coauthnet import betweenness, closeness, clustering, components, graph_from_edges, path_stats, small_world
 from coauthnet.metrics import giant_component_codes, random_edge_set
 
 from conftest import random_edges
@@ -64,6 +64,22 @@ def test_closeness_matches_networkx():
             size = len(nx.node_connected_component(h, v))
             want = expected[v] / (size - 1) if size > 1 else 0.0
             assert math.isclose(got[v], want, rel_tol=1e-12), v
+
+
+def test_betweenness_matches_networkx():
+    for labels, edges in sample_graphs():
+        h = to_nx(labels, edges)
+        got = betweenness(graph_from_edges(edges, nodes=labels))
+        n = len(labels)
+        # networkx counts each unordered pair once when not normalized;
+        # coauthnet divides that count by (n-1)(n-2)/2, the number of pairs
+        # that exclude a given node, as networkx does when normalized.
+        raw = nx.betweenness_centrality(h, normalized=False)
+        expected = nx.betweenness_centrality(h, normalized=True)
+        for v in labels:
+            want = raw[v] / ((n - 1) * (n - 2) / 2) if n >= 3 else 0.0
+            assert math.isclose(got[v], want, rel_tol=1e-12, abs_tol=1e-15), v
+            assert math.isclose(got[v], expected[v], rel_tol=1e-12, abs_tol=1e-15), v
 
 
 def test_components_and_giant_match_networkx():
