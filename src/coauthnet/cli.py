@@ -27,7 +27,6 @@ from .export import LayoutSpec, emit_series, render_network_svg, write_dot, writ
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import (
     DEFAULT_TOPIC_VARIANTS,
-    coverage_stats,
     filter_topic,
     load_variants,
     parse_records,
@@ -164,7 +163,7 @@ def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: Path) -> Resolv
     parsed = parse_records(cfg.input, cfg.format)
     corpus = ResolvedCorpus(filter_topic(parsed, _resolve_variants(cfg)), registry)
     write_records_jsonl(corpus.rs, out / "records.jsonl")
-    cov = coverage_stats(corpus.rs, corpus.unknown)
+    cov = corpus.coverage
     _write_json(
         out / "coverage.json",
         {
@@ -412,8 +411,7 @@ def stage_report(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> None:
     by_code = {row["code"]: row for row in result["centrality"]}
     top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)] if graph.n else []
     top_clique = is_clique(graph, [row["code"] for row in top_rows]) if top_rows else False
-    cov = coverage_stats(corpus.rs, corpus.unknown)
-    markdown = _report_markdown(cfg, cov, result["summary"], top_rows, top_clique, result["smallworld"], densify_doc, windows)
+    markdown = _report_markdown(cfg, corpus.coverage, result["summary"], top_rows, top_clique, result["smallworld"], densify_doc, windows)
     (out / "report.md").write_text(markdown, encoding="utf-8")
     print(f"report written to {out / 'report.md'}")
 

@@ -13,7 +13,6 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .countries import REGIONS
 from .errors import DataError, UsageError
@@ -43,6 +42,15 @@ _PALETTE = (
     "#c8a51e",
     "#5fa2ce",
 )
+
+
+def escape(text: str) -> str:
+    """XML character data: the replacements of xml.sax.saxutils.escape, in its order.
+
+    Importing xml.sax.saxutils pulls in urllib.request and its http, email
+    and ssl imports, about 30 ms per process.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass

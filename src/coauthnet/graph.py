@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
 from .countries import CountryRegistry
 from .errors import DataError, UsageError
-from .ingest import RecordSet
+from .ingest import CoverageStats, RecordSet, coverage_stats
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,13 @@ class NodeAttr:
     paper_count: int | None = None
     first_year: int | None = None
     region: str | None = None
+
+
+def _typed(value, kinds, what: str):
+    """`value` if it is an instance of `kinds` and no bool; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{what} {value!r} has the wrong type")
+    return value
 
 
 class CoauthorshipGraph:
@@ -140,17 +148,23 @@ class CoauthorshipGraph:
     @classmethod
     def from_dict(cls, doc: dict) -> "CoauthorshipGraph":
         try:
-            window = TimeWindow(doc["window"]["start_year"], doc["window"]["end_year"])
+            window = TimeWindow(
+                _typed(doc["window"]["start_year"], int, "window start_year"),
+                _typed(doc["window"]["end_year"], int, "window end_year"),
+            )
             nodes = [
                 NodeAttr(
-                    code=nd["code"],
-                    paper_count=nd.get("paper_count"),
-                    first_year=nd.get("first_year"),
-                    region=nd.get("region"),
+                    code=_typed(nd["code"], str, "node code"),
+                    paper_count=_typed(nd.get("paper_count"), (int, type(None)), "node paper_count"),
+                    first_year=_typed(nd.get("first_year"), (int, type(None)), "node first_year"),
+                    region=_typed(nd.get("region"), (str, type(None)), "node region"),
                 )
                 for nd in doc["nodes"]
             ]
-            edges = [(a, b, w) for a, b, w in doc["edges"]]
+            edges = [
+                (_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
+                for a, b, w in doc["edges"]
+            ]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed graph document: {exc}") from exc
         return cls(nodes, edges, window)
@@ -233,6 +247,11 @@ class ResolvedCorpus:
                     self.first_year[code] = record.year
             for pair in combinations(codes, 2):
                 weights[pair] = weights.get(pair, 0) + 1
+
+    @cached_property
+    def coverage(self) -> CoverageStats:
+        """Affiliation coverage of the records, with the tally of unresolved names."""
+        return coverage_stats(self.rs, self.unknown)
 
     def _buckets(self, window: TimeWindow):
         """The (paper counts, pair weights) buckets of the years inside the window."""

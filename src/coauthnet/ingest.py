@@ -22,6 +22,10 @@ DEFAULT_TOPIC_VARIANTS = ("chernobyl", "chornobyl")
 
 _FIELDS = ("id", "year", "text", "countries", "subjects")
 
+# One encoder for every records.jsonl line; json.dumps with keyword
+# arguments would build a new one per call.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
 
 @dataclass
 class PublicationRecord:
@@ -181,7 +185,7 @@ def write_records_jsonl(rs: RecordSet, path: str | Path) -> None:
     """Serialize to JSONL; parse_records on the output reproduces the set."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in rs.records:
-            fh.write(json.dumps(record_to_obj(record), ensure_ascii=False, separators=(",", ":")))
+            fh.write(_JSONL_ENCODER.encode(record_to_obj(record)))
             fh.write("\n")
 
 

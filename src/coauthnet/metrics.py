@@ -46,18 +46,51 @@ So betweenness equals the single-source loop's bit for bit. It costs
 O(n^2) array work per queue position and O(n^3) per BFS level instead of
 O(n m) interpreter steps: a win on dense country graphs, a loss on long
 sparse chains with many levels.
+
+numpy is imported lazily: `np` here and in temporal is a module object
+from `lazy_import` (the importlib.util.LazyLoader recipe) that executes
+numpy on its first attribute access, the first kernel call. The import
+costs about 175 ms per process, and the CLI runs each stage as its own
+process: `ingest`, `build` and `export` never reach a kernel and run
+without numpy, while `metrics`, `slice`, `densify` and `report` load it on
+first use. Any attribute lookup on `np` loads numpy, even the `__class__`
+lookup behind isinstance(np, T). Python 3.11's LazyLoader is safe only when the first access
+comes from a single thread (3.12 adds a lock). The package starts no
+threads of its own, and the thread rule above keeps even the BLAS's
+threads out, so the first access always comes from the calling thread.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import UsageError
 from .graph import CoauthorshipGraph, basic_stats
+
+
+def lazy_import(name: str):
+    """The module `name`, executed on its first attribute access (importlib.util.LazyLoader).
+
+    Returns sys.modules[name] when the module is already there, loaded or
+    still lazy, so every caller shares one module object.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+np = lazy_import("numpy")
 
 CLUSTERING_MODES = ("exclude_low_degree", "zero_low_degree")
 DEFAULT_CLUSTERING_MODE = "exclude_low_degree"

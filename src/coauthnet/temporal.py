@@ -7,13 +7,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .countries import REGIONS
 from .errors import UsageError
 from .graph import ResolvedCorpus, TimeWindow
 from .ingest import RecordSet
-from .metrics import DEFAULT_CLUSTERING_MODE, GraphSummary, summary
+from .metrics import DEFAULT_CLUSTERING_MODE, GraphSummary, lazy_import, summary
+
+np = lazy_import("numpy")
 
 WINDOW_MODES = ("sliding", "cumulative")
 

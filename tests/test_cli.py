@@ -66,6 +66,28 @@ def test_malformed_row_is_data_exit(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+_WINDOW = {"start_year": 1990, "end_year": 1991}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"window": _WINDOW, "nodes": [{"code": 1}, {"code": "AT"}], "edges": []},
+        {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [[["AT"], "BE", 1]]},
+        {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [["AT", "BE", True]]},
+    ],
+    ids=["int-code", "list-endpoint", "bool-weight"],
+)
+def test_malformed_graph_json_is_data_exit(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run("metrics", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "malformed graph document" in err and "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
 def test_file_mediated_pipeline(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0

@@ -1,8 +1,11 @@
 import math
 import random
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coauthnet import (
     DataError,
@@ -19,7 +22,7 @@ from coauthnet import (
     write_dot,
     write_pajek,
 )
-from coauthnet.export import EDGE_W_MAX, EDGE_W_MIN, R_MAX, R_MIN
+from coauthnet.export import EDGE_W_MAX, EDGE_W_MIN, R_MAX, R_MIN, escape
 from coauthnet.graph import CoauthorshipGraph, NodeAttr
 
 from conftest import FIXTURE_EDGES, random_edges
@@ -378,3 +381,8 @@ def test_emitters_are_deterministic(fixture_graph):
 
 def test_fixture_edges_count():
     assert len(FIXTURE_EDGES) == 11
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amplgt \"'A\u00e9"), max_size=40) | st.text(max_size=40))
+def test_escape_equals_saxutils(text):
+    assert escape(text) == sax_escape(text)

@@ -209,8 +209,10 @@ def test_coverage_unknowns_tallied_per_occurrence(tmp_path, registry):
         {"id": "p2", "year": 1990, "countries": ["Atlantis", "Narnia"]},
     ]
     rs = parse_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    cov = coverage_stats(rs, ResolvedCorpus(rs, registry).unknown)
+    corpus = ResolvedCorpus(rs, registry)
+    cov = coverage_stats(rs, corpus.unknown)
     assert cov.unknown_country_names == [("Atlantis", 2), ("Narnia", 1)]
+    assert corpus.coverage == cov and corpus.coverage is corpus.coverage
 
 
 def test_coverage_recount_matches(tmp_path):
