@@ -38,7 +38,6 @@ from .ingest import (
     coverage_stats,
     filter_topic,
     parse_records,
-    write_records_csv,
     write_records_jsonl,
 )
 from .metrics import (

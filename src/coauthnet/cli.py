@@ -167,7 +167,7 @@ def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: Path) -> Resolv
     _write_json(
         out / "coverage.json",
         {
-            "total_parsed": parsed.coverage.total,
+            "total_parsed": len(parsed),
             "kept_after_topic_filter": cov.total,
             "with_affiliation": cov.with_affiliation,
             "affiliation_fraction": cov.affiliation_fraction,
@@ -229,7 +229,7 @@ def stage_slice(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> list:
     windows = slice_windows(corpus.rs, cfg.window_length, cfg.step, cfg.mode)
     _write_json(out / "windows.json", [[w.start_year, w.end_year] for w in windows])
     if windows:
-        series = metric_series(corpus, windows, "summary", cfg.mode, cfg.clustering_mode)
+        series = metric_series(corpus, windows, cfg.clustering_mode)
         csv_text, _ = emit_series(series)
         (out / "series_summary.csv").write_text(csv_text, encoding="utf-8")
     else:
@@ -263,6 +263,8 @@ def _check_config(cfg: RunConfig) -> None:
         raise UsageError("window length must be >= 1")
     if cfg.step < 1:
         raise UsageError("window step must be >= 1")
+    if cfg.sw_samples < 1:
+        raise UsageError("--sw-samples must be >= 1")
 
 
 def stage_export(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> None:
@@ -400,11 +402,11 @@ def stage_report(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> None:
 
     first_years, cumulative = first_year_series(corpus)
     _write_json(out / "first_years.json", first_years)
-    regions_csv, regions_svg = emit_series(cumulative, chart="line", columns=list(REGIONS))
+    regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))
     (out / "regions_cumulative.csv").write_text(regions_csv, encoding="utf-8")
     (out / "regions_cumulative.svg").write_text(regions_svg or "", encoding="utf-8")
     disciplines = discipline_series(corpus.rs)
-    disc_csv, disc_svg = emit_series(disciplines, chart="line")
+    disc_csv, disc_svg = emit_series(disciplines)
     (out / "disciplines.csv").write_text(disc_csv, encoding="utf-8")
     (out / "disciplines.svg").write_text(disc_svg or "", encoding="utf-8")
 

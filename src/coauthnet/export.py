@@ -1,5 +1,5 @@
 """Deterministic emitters: Pajek and DOT interchange files, SVG network
-renderings with four layout encodings, and CSV/SVG time-series charts.
+renderings with four layout encodings, and CSV series with SVG line charts.
 
 Every emitter is a pure function producing byte-stable text: node and edge
 ordering is pinned, floats use fixed-width formatting, and line endings are
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from .countries import REGIONS
 from .errors import DataError, UsageError
 from .graph import CoauthorshipGraph
-from .metrics import GraphSummary, top_k_by_degree
+from .metrics import top_k_by_degree
 from .temporal import SUMMARY_SELECTORS, WindowSeries
 
 LAYOUT_KINDS = ("circular", "grouped_circles", "center_top_k", "year_bands")
 SIZE_ATTRS = ("paper_count", "degree", "none")
-NODE_ORDERS = ("by_code", "by_degree_desc")
 
 # Node radii and edge widths in unit-square coordinates.
 R_MIN = 0.010
@@ -59,8 +58,6 @@ class LayoutSpec:
     size_attr: str = "paper_count"
     gamma: float = 0.5
     k: int = 10
-    highlight: set[str] | None = None
-    order: str = "by_code"
 
     def __post_init__(self):
         if self.kind not in LAYOUT_KINDS:
@@ -71,8 +68,6 @@ class LayoutSpec:
             raise UsageError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.k < 1:
             raise UsageError("k must be >= 1")
-        if self.order not in NODE_ORDERS:
-            raise UsageError(f"unknown node order {self.order!r} (expected one of {NODE_ORDERS})")
 
 
 @dataclass
@@ -162,23 +157,17 @@ def read_pajek(text: str) -> tuple[list[str], dict[tuple[str, str], int]]:
 # DOT
 
 
-def write_dot(g: CoauthorshipGraph, layout: LayoutSpec | None = None) -> str:
-    """Undirected DOT document; with a layout, node positions and sizes are pinned."""
-    rendered = compute_layout(g, layout) if layout is not None else None
+def write_dot(g: CoauthorshipGraph, layout: LayoutSpec) -> str:
+    """Undirected DOT document with node positions, node sizes and edge widths pinned."""
+    rendered = compute_layout(g, layout)
     lines = ["graph coauthorship {"]
     for code in g.codes():
-        if rendered is not None:
-            x, y = rendered.positions[code]
-            r = rendered.radii[code]
-            lines.append(f'  "{code}" [pos="{x:.4f},{y:.4f}!", width={2 * r:.4f}];')
-        else:
-            lines.append(f'  "{code}";')
+        x, y = rendered.positions[code]
+        r = rendered.radii[code]
+        lines.append(f'  "{code}" [pos="{x:.4f},{y:.4f}!", width={2 * r:.4f}];')
     for a, b, w in g.edges():
-        if rendered is not None:
-            pw = rendered.edge_widths[(a, b)]
-            lines.append(f'  "{a}" -- "{b}" [weight={w}, penwidth={pw * _CANVAS:.2f}];')
-        else:
-            lines.append(f'  "{a}" -- "{b}" [weight={w}];')
+        pw = rendered.edge_widths[(a, b)]
+        lines.append(f'  "{a}" -- "{b}" [weight={w}, penwidth={pw * _CANVAS:.2f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -222,13 +211,6 @@ def _scaled(value: float, max_value: float, lo: float, hi: float, gamma: float) 
     return lo + (hi - lo) * (value / max_value) ** gamma
 
 
-def _ordered_codes(g: CoauthorshipGraph, order: str, codes=None) -> list[str]:
-    pool = sorted(codes) if codes is not None else g.codes()
-    if order == "by_degree_desc":
-        return sorted(pool, key=lambda c: (-g.degree(c), c))
-    return pool
-
-
 def _on_circle(center: tuple[float, float], radius: float, count: int, i: int) -> tuple[float, float]:
     # Equal spacing, first node at 90 degrees.
     angle = math.radians(90.0 + i * 360.0 / count)
@@ -256,9 +238,8 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
     center = (0.5, 0.5)
 
     if spec.kind == "circular":
-        ordered = _ordered_codes(g, spec.order)
-        for i, code in enumerate(ordered):
-            positions[code] = _on_circle(center, 0.42, len(ordered), i)
+        for i, code in enumerate(codes):
+            positions[code] = _on_circle(center, 0.42, len(codes), i)
 
     elif spec.kind == "grouped_circles":
         missing = [c for c in codes if g.node(c).region is None]
@@ -266,7 +247,7 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
             raise UsageError(f"grouped_circles needs a region for every node; missing for {missing}")
         # Six fixed region slots on a hexagon, members on a small circle each.
         for idx, region in enumerate(REGIONS):
-            members = _ordered_codes(g, spec.order, [c for c in codes if g.node(c).region == region])
+            members = [c for c in codes if g.node(c).region == region]
             if not members:
                 continue
             slot = _on_circle(center, 0.32, len(REGIONS), idx)
@@ -276,7 +257,7 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
     elif spec.kind == "center_top_k":
         inner = top_k_by_degree(g, min(spec.k, max(g.n, 1))) if codes else []
         inner_set = set(inner)
-        outer = _ordered_codes(g, spec.order, [c for c in codes if c not in inner_set])
+        outer = [c for c in codes if c not in inner_set]
         for i, code in enumerate(inner):
             positions[code] = _on_circle(center, 0.16, len(inner), i)
         for i, code in enumerate(outer):
@@ -289,7 +270,7 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
         years = sorted({g.node(c).first_year for c in codes})
         bands = {year: i for i, year in enumerate(years)}
         for year in years:
-            members = _ordered_codes(g, spec.order, [c for c in codes if g.node(c).first_year == year])
+            members = [c for c in codes if g.node(c).first_year == year]
             y = (bands[year] + 0.5) / len(years)
             for j, code in enumerate(members):
                 positions[code] = ((j + 0.5) / len(members), y)
@@ -311,16 +292,10 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
 def render_network_svg(g: CoauthorshipGraph, spec: LayoutSpec) -> str:
     """Render the graph as a standalone SVG document.
 
-    center_top_k draws edges among the top-k in a highlight stroke (an
-    explicit spec.highlight set takes precedence).
+    center_top_k draws edges among the top-k in a highlight stroke.
     """
     layout = compute_layout(g, spec)
-    if spec.highlight is not None:
-        highlight = set(spec.highlight)
-    elif spec.kind == "center_top_k" and g.n:
-        highlight = set(top_k_by_degree(g, min(spec.k, g.n)))
-    else:
-        highlight = set()
+    highlight = set(top_k_by_degree(g, min(spec.k, g.n))) if spec.kind == "center_top_k" and g.n else set()
 
     def px(value: float) -> str:
         return f"{value * _CANVAS:.2f}"
@@ -394,13 +369,13 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _chart_svg(x_values: list[float], columns: dict[str, list[float]], kind: str) -> str:
+def _line_chart_svg(x_values: list[float], columns: dict[str, list[float]]) -> str:
     width, height = 800.0, 500.0
     left, right, top, bottom = 70.0, 170.0, 20.0, 45.0
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    x_lo, x_hi = (min(x_values), max(x_values)) if x_values else (0.0, 1.0)
+    x_lo, x_hi = min(x_values), max(x_values)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     all_values = [v for series in columns.values() for v in series]
@@ -440,23 +415,10 @@ def _chart_svg(x_values: list[float], columns: dict[str, list[float]], kind: str
     out.write("  </g>\n")
 
     keys = list(columns)
-    if kind == "line":
-        for i, key in enumerate(keys):
-            color = _PALETTE[i % len(_PALETTE)]
-            points = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(x_values, columns[key]))
-            out.write(f'  <polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>\n')
-    else:  # bar
-        group_w = plot_w / max(len(x_values), 1)
-        bar_w = group_w * 0.8 / max(len(keys), 1)
-        for i, key in enumerate(keys):
-            color = _PALETTE[i % len(_PALETTE)]
-            for j, value in enumerate(columns[key]):
-                x = left + j * group_w + group_w * 0.1 + i * bar_w
-                y = sy(value)
-                h = top + plot_h - y
-                out.write(
-                    f'  <rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{h:.2f}" fill="{color}"/>\n'
-                )
+    for i, key in enumerate(keys):
+        color = _PALETTE[i % len(_PALETTE)]
+        points = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(x_values, columns[key]))
+        out.write(f'  <polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>\n')
 
     out.write('  <g font-family="sans-serif" font-size="11">\n')
     for i, key in enumerate(keys):
@@ -469,43 +431,28 @@ def _chart_svg(x_values: list[float], columns: dict[str, list[float]], kind: str
     return out.getvalue()
 
 
-def emit_series(series, chart: str = "none", columns: list[str] | None = None) -> tuple[str, str | None]:
-    """Serialize a series to CSV, optionally with a line or bar chart SVG.
+def emit_series(series, columns: list[str] | None = None) -> tuple[str, str | None]:
+    """Serialize a series to CSV; a year mapping also gets a line chart SVG.
 
-    Accepts a WindowSeries (one row per window) or a mapping of series key
-    to {year: value} (one row per year, one column per key; missing cells
-    are 0). Column order defaults to sorted keys.
+    Accepts a WindowSeries (one row per window, no chart) or a mapping of
+    series key to {year: value} (one row per year, one column per key;
+    missing cells are 0; column order defaults to sorted keys). The chart
+    is None when there is no row to draw.
     """
-    if chart not in ("none", "line", "bar"):
-        raise UsageError(f"unknown chart kind {chart!r} (expected none, line or bar)")
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
 
     if isinstance(series, WindowSeries):
-        if series.values and isinstance(series.values[0], GraphSummary):
-            writer.writerow(["start_year", "end_year", *SUMMARY_SELECTORS])
-            rows = [
-                [window.start_year, window.end_year] + [getattr(value, c) for c in SUMMARY_SELECTORS]
-                for window, value in zip(series.windows, series.values)
-            ]
-            for row in rows:
-                writer.writerow([_format_cell(v) for v in row])
-            chart_columns = {c: [float(row[i + 2]) for row in rows] for i, c in enumerate(SUMMARY_SELECTORS)}
-        else:
-            writer.writerow(["start_year", "end_year", series.name])
-            for window, value in zip(series.windows, series.values):
-                writer.writerow([window.start_year, window.end_year, _format_cell(value)])
-            chart_columns = {series.name: [float(v) for v in series.values]}
-        x_values = [float(w.end_year) for w in series.windows]
-    else:
-        keys = columns if columns is not None else sorted(series)
-        years = sorted({year for per_year in series.values() for year in per_year})
-        writer.writerow(["year", *keys])
-        for year in years:
-            writer.writerow([year] + [_format_cell(series[key].get(year, 0)) for key in keys])
-        chart_columns = {key: [float(series[key].get(year, 0)) for year in years] for key in keys}
-        x_values = [float(y) for y in years]
+        writer.writerow(["start_year", "end_year", *SUMMARY_SELECTORS])
+        for window, row in zip(series.windows, series.rows):
+            writer.writerow([window.start_year, window.end_year, *map(_format_cell, row)])
+        return buf.getvalue(), None
 
-    svg = _chart_svg(x_values, chart_columns, chart) if chart != "none" and x_values else None
+    keys = columns if columns is not None else sorted(series)
+    years = sorted({year for per_year in series.values() for year in per_year})
+    writer.writerow(["year", *keys])
+    for year in years:
+        writer.writerow([year] + [_format_cell(series[key].get(year, 0)) for key in keys])
+    chart_columns = {key: [float(series[key].get(year, 0)) for year in years] for key in keys}
+    svg = _line_chart_svg([float(y) for y in years], chart_columns) if years else None
     return buf.getvalue(), svg

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
-from .countries import CountryRegistry
+from .countries import REGIONS, CountryRegistry
 from .errors import DataError, UsageError
 from .ingest import CoverageStats, RecordSet, coverage_stats
 
@@ -58,6 +58,21 @@ def _typed(value, kinds, what: str):
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError(f"{what} {value!r} has the wrong type")
     return value
+
+
+def _node_from_dict(nd: dict) -> NodeAttr:
+    """A graph.json node; ValueError for a negative paper count or an unknown region."""
+    attr = NodeAttr(
+        code=_typed(nd["code"], str, "node code"),
+        paper_count=_typed(nd.get("paper_count"), (int, type(None)), "node paper_count"),
+        first_year=_typed(nd.get("first_year"), (int, type(None)), "node first_year"),
+        region=_typed(nd.get("region"), (str, type(None)), "node region"),
+    )
+    if attr.paper_count is not None and attr.paper_count < 0:
+        raise ValueError(f"node {attr.code} paper_count {attr.paper_count} is negative")
+    if attr.region is not None and attr.region not in REGIONS:
+        raise ValueError(f"node {attr.code} region {attr.region!r} is not one of {REGIONS}")
+    return attr
 
 
 class CoauthorshipGraph:
@@ -152,15 +167,7 @@ class CoauthorshipGraph:
                 _typed(doc["window"]["start_year"], int, "window start_year"),
                 _typed(doc["window"]["end_year"], int, "window end_year"),
             )
-            nodes = [
-                NodeAttr(
-                    code=_typed(nd["code"], str, "node code"),
-                    paper_count=_typed(nd.get("paper_count"), (int, type(None)), "node paper_count"),
-                    first_year=_typed(nd.get("first_year"), (int, type(None)), "node first_year"),
-                    region=_typed(nd.get("region"), (str, type(None)), "node region"),
-                )
-                for nd in doc["nodes"]
-            ]
+            nodes = [_node_from_dict(nd) for nd in doc["nodes"]]
             edges = [
                 (_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
                 for a, b, w in doc["edges"]

@@ -52,7 +52,6 @@ class RecordSet:
     """Immutable-by-convention set of records, sorted by (year, id)."""
 
     records: list[PublicationRecord]
-    coverage: CoverageStats
 
     def __len__(self) -> int:
         return len(self.records)
@@ -166,9 +165,7 @@ def parse_records(path: str | Path, fmt: str = "jsonl") -> RecordSet:
             raise DataError(f"duplicate record id {record.id!r} (first seen on line {seen[record.id]})", line=lineno)
         seen[record.id] = lineno
     records = sorted((r for r, _ in rows), key=lambda r: (r.year, r.id))
-    rs = RecordSet(records=records, coverage=CoverageStats())
-    rs.coverage = coverage_stats(rs)
-    return rs
+    return RecordSet(records=records)
 
 
 def record_to_obj(record: PublicationRecord) -> dict:
@@ -189,23 +186,13 @@ def write_records_jsonl(rs: RecordSet, path: str | Path) -> None:
             fh.write("\n")
 
 
-def write_records_csv(rs: RecordSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_FIELDS)
-        for r in rs.records:
-            writer.writerow([r.id, r.year, r.text, ";".join(r.raw_countries), ";".join(r.subjects)])
-
-
 def filter_topic(rs: RecordSet, variants: list[str] | tuple[str, ...]) -> RecordSet:
     """Keep records whose text contains any variant (case-insensitive substring)."""
     terms = [v.strip().casefold() for v in variants if v.strip()]
     if not terms:
         raise UsageError("topic variant list must not be empty")
     kept = [r for r in rs.records if any(t in r.text.casefold() for t in terms)]
-    out = RecordSet(records=kept, coverage=CoverageStats())
-    out.coverage = coverage_stats(out)
-    return out
+    return RecordSet(records=kept)
 
 
 def coverage_stats(rs: RecordSet, unknown: dict[str, int] | None = None) -> CoverageStats:

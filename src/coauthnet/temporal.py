@@ -11,7 +11,7 @@ from .countries import REGIONS
 from .errors import UsageError
 from .graph import ResolvedCorpus, TimeWindow
 from .ingest import RecordSet
-from .metrics import DEFAULT_CLUSTERING_MODE, GraphSummary, lazy_import, summary
+from .metrics import DEFAULT_CLUSTERING_MODE, lazy_import, summary
 
 np = lazy_import("numpy")
 
@@ -36,10 +36,10 @@ SUMMARY_SELECTORS = (
 
 @dataclass
 class WindowSeries:
+    """One row of SUMMARY_SELECTORS values per window; windows sorted by end year."""
+
     windows: list[TimeWindow]
-    values: list
-    mode: str
-    name: str = "value"
+    rows: list[tuple]
 
 
 def slice_windows(rs: RecordSet, length: int, step: int, mode: str) -> list[TimeWindow]:
@@ -82,27 +82,24 @@ def slice_windows(rs: RecordSet, length: int, step: int, mode: str) -> list[Time
 def metric_series(
     corpus: ResolvedCorpus,
     windows: list[TimeWindow],
-    selector: str,
-    mode: str = "sliding",
     clustering_mode: str = DEFAULT_CLUSTERING_MODE,
 ) -> WindowSeries:
-    """Build one graph per window and extract a summary metric per window.
+    """Build one graph per window and keep its SUMMARY_SELECTORS values.
 
-    selector is a GraphSummary field name, or "summary" for whole objects.
+    Only the row is kept, so each window's graph and summary are freed
+    before the next window is built.
     """
     if not windows:
         raise UsageError("windows list must not be empty")
-    if selector != "summary" and selector not in SUMMARY_SELECTORS:
-        raise UsageError(f"unknown metric {selector!r} (expected one of {SUMMARY_SELECTORS} or 'summary')")
     ordered = sorted(windows, key=lambda w: (w.end_year, w.start_year))
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.end_year == prev.end_year:
             raise UsageError("windows must have strictly increasing end years")
-    values = []
+    rows = []
     for window in ordered:
         s = summary(corpus.graph(window), clustering_mode)
-        values.append(s if selector == "summary" else getattr(s, selector))
-    return WindowSeries(windows=ordered, values=values, mode=mode, name=selector)
+        rows.append(tuple(getattr(s, c) for c in SUMMARY_SELECTORS))
+    return WindowSeries(windows=ordered, rows=rows)
 
 
 @dataclass

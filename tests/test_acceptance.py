@@ -7,6 +7,7 @@ import shutil
 import time
 
 from coauthnet import (
+    LayoutSpec,
     basic_stats,
     betweenness,
     builtin_registry,
@@ -184,7 +185,7 @@ def test_criterion_6_interchange_round_trips():
         assert pajek_labels == g.codes(), index
         assert pajek_edges == expected_edges, index
 
-        dot_labels, dot_edges = read_dot(write_dot(g))
+        dot_labels, dot_edges = read_dot(write_dot(g, LayoutSpec(size_attr="degree")))
         assert dot_labels == g.codes(), index
         assert dot_edges == expected_edges, index
     _finish(6, "Pajek and DOT round trips", t0, 5.0)

@@ -75,8 +75,10 @@ _WINDOW = {"start_year": 1990, "end_year": 1991}
         {"window": _WINDOW, "nodes": [{"code": 1}, {"code": "AT"}], "edges": []},
         {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [[["AT"], "BE", 1]]},
         {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [["AT", "BE", True]]},
+        {"window": _WINDOW, "nodes": [{"code": "AT", "region": "Mars"}], "edges": []},
+        {"window": _WINDOW, "nodes": [{"code": "AT", "paper_count": -1}], "edges": []},
     ],
-    ids=["int-code", "list-endpoint", "bool-weight"],
+    ids=["int-code", "list-endpoint", "bool-weight", "unknown-region", "negative-paper-count"],
 )
 def test_malformed_graph_json_is_data_exit(tmp_path, capsys, doc):
     out = tmp_path / "out"
@@ -205,7 +207,15 @@ def test_report_equals_staged_run(tmp_path, capsys, corpus):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--top-k", 0), ("--gamma", 2), ("--gamma", 0), ("--window-length", 0), ("--step", 0)],
+    [
+        ("--top-k", 0),
+        ("--gamma", 2),
+        ("--gamma", 0),
+        ("--window-length", 0),
+        ("--step", 0),
+        ("--sw-samples", 0),
+        ("--sw-samples", -3),
+    ],
 )
 def test_bad_flag_value_writes_no_artifact(tmp_path, capsys, flag, value):
     out = tmp_path / "out"

@@ -24,6 +24,7 @@ from coauthnet import (
 )
 from coauthnet.export import EDGE_W_MAX, EDGE_W_MIN, R_MAX, R_MIN, escape
 from coauthnet.graph import CoauthorshipGraph, NodeAttr
+from coauthnet.temporal import SUMMARY_SELECTORS
 
 from conftest import FIXTURE_EDGES, random_edges
 
@@ -93,28 +94,30 @@ def test_pajek_round_trip_random_graphs():
 # ---------------------------------------------------------------------------
 # DOT
 
+_DOT_SPEC = LayoutSpec(kind="circular", size_attr="degree")
+
 
 def test_dot_single_edge():
     g = graph_from_edges([("A", "B", 2)])
-    text = write_dot(g)
+    text = write_dot(g, _DOT_SPEC)
     assert text.count("--") == 1
-    assert '"A" -- "B" [weight=2];' in text
+    assert '"A" -- "B" [weight=2, penwidth=8.00];' in text
     assert text.startswith("graph coauthorship {\n")
     assert text.endswith("}\n")
 
 
 def test_dot_empty_graph():
-    assert write_dot(graph_from_edges([], nodes=[])) == "graph coauthorship {\n}\n"
+    assert write_dot(graph_from_edges([], nodes=[]), _DOT_SPEC) == "graph coauthorship {\n}\n"
 
 
 def test_dot_triangle_sorted():
     g = graph_from_edges([("C", "B"), ("B", "A"), ("A", "C")])
-    text = write_dot(g)
+    text = write_dot(g, _DOT_SPEC)
     edge_lines = [line for line in text.splitlines() if "--" in line]
     assert edge_lines == [
-        '  "A" -- "B" [weight=1];',
-        '  "A" -- "C" [weight=1];',
-        '  "B" -- "C" [weight=1];',
+        '  "A" -- "B" [weight=1, penwidth=8.00];',
+        '  "A" -- "C" [weight=1, penwidth=8.00];',
+        '  "B" -- "C" [weight=1, penwidth=8.00];',
     ]
 
 
@@ -124,7 +127,7 @@ def test_dot_round_trip_random_graphs():
         labels, edges = random_edges(rng, rng.randint(0, 10), rng.random())
         weighted = [(a, b, rng.randint(1, 9)) for a, b in edges]
         g = graph_from_edges(weighted, nodes=labels)
-        back_nodes, back_edges = read_dot(write_dot(g))
+        back_nodes, back_edges = read_dot(write_dot(g, _DOT_SPEC))
         assert back_nodes == g.codes()
         assert back_edges == {(a, b): w for a, b, w in g.edges()}
 
@@ -279,15 +282,6 @@ def test_layout_spec_validation():
         LayoutSpec(gamma=1.5)
     with pytest.raises(UsageError):
         LayoutSpec(k=0)
-    with pytest.raises(UsageError):
-        LayoutSpec(order="random")
-
-
-def test_order_by_degree_desc(fixture_graph):
-    spec = LayoutSpec(kind="circular", size_attr="degree", order="by_degree_desc")
-    layout = compute_layout(fixture_graph, spec)
-    # first position (angle 90 deg) goes to the top-degree node, B
-    assert layout.positions["B"][1] == pytest.approx(0.92)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,7 @@ def test_network_svg_contains_all_nodes(fixture_graph):
 def test_emit_series_discipline_example():
     csv_text, svg = emit_series({"Physics": {1986: 2, 1987: 1}})
     assert csv_text == "year,Physics\n1986,2\n1987,1\n"
-    assert svg is None
+    assert svg.count("<polyline") == 1
 
 
 def test_emit_series_region_column_order():
@@ -342,35 +336,28 @@ def test_emit_series_missing_cells_are_zero():
 def test_emit_series_window_series():
     ws = WindowSeries(
         windows=[TimeWindow(1986, 1990), TimeWindow(1991, 1995)],
-        values=[1.0, 2.5],
-        mode="sliding",
-        name="mean_degree",
+        rows=[(2, 1, 1.0, 1.0, 1, 1, 1.0, 0.0, 0, 2), (3, 3, 1.0, 2.0, 2, 1, 1.0, 1.0, 0, 3)],
     )
-    csv_text, svg = emit_series(ws, chart="line")
+    csv_text, svg = emit_series(ws)
     lines = csv_text.splitlines()
-    assert lines[0] == "start_year,end_year,mean_degree"
-    assert lines[1] == "1986,1990,1.0"
-    assert svg is not None
-    ET.fromstring(svg)
+    assert lines[0] == "start_year,end_year," + ",".join(SUMMARY_SELECTORS)
+    assert lines[1] == "1986,1990,2,1,1.0,1.0,1,1,1.0,0.0,0,2"
+    assert len(lines) == 3
+    assert svg is None
 
 
 def test_emit_series_charts_well_formed():
     series = {"Physics": {1986: 2, 1987: 1}, "Medicine": {1986: 1, 1987: 3}}
-    for chart in ("line", "bar"):
-        csv_text, svg = emit_series(series, chart=chart)
-        assert csv_text.splitlines()[0] == "year,Medicine,Physics"
-        ET.fromstring(svg)
-        assert svg == emit_series(series, chart=chart)[1]
-
-
-def test_emit_series_unknown_chart():
-    with pytest.raises(UsageError):
-        emit_series({}, chart="pie")
+    csv_text, svg = emit_series(series)
+    assert csv_text.splitlines()[0] == "year,Medicine,Physics"
+    ET.fromstring(svg)
+    assert svg.count("<polyline") == 2
+    assert svg == emit_series(series)[1]
 
 
 def test_emitters_are_deterministic(fixture_graph):
     assert write_pajek(fixture_graph) == write_pajek(fixture_graph)
-    assert write_dot(fixture_graph) == write_dot(fixture_graph)
+    assert write_dot(fixture_graph, _DOT_SPEC) == write_dot(fixture_graph, _DOT_SPEC)
     spec = LayoutSpec(kind="year_bands", size_attr="degree")
     g = attr_graph(
         [(a, b, w) for a, b, w in fixture_graph.edges()],

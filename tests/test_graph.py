@@ -277,7 +277,7 @@ def test_empty_records_skipped_for_graph_but_counted(tmp_path, registry):
         {"id": "p2", "year": 1990},
     ]
     rs = _corpus(tmp_path, rows)
-    g = build_network(rs, registry)
-    assert g.n == 2
-    assert rs.coverage.total == 2
-    assert rs.coverage.with_affiliation == 1
+    corpus = ResolvedCorpus(rs, registry)
+    assert corpus.graph().n == 2
+    assert corpus.coverage.total == 2
+    assert corpus.coverage.with_affiliation == 1

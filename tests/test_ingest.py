@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 
@@ -10,7 +11,6 @@ from coauthnet import (
     coverage_stats,
     filter_topic,
     parse_records,
-    write_records_csv,
     write_records_jsonl,
 )
 from coauthnet.ingest import load_variants
@@ -169,7 +169,7 @@ def test_filter_topic_idempotent(tmp_path):
     once = filter_topic(rs, ["chernobyl", "chornobyl"])
     twice = filter_topic(once, ["chernobyl", "chornobyl"])
     assert once.records == twice.records
-    assert once.coverage == twice.coverage
+    assert coverage_stats(once) == coverage_stats(twice)
 
 
 def test_coverage_fraction(tmp_path):
@@ -179,8 +179,7 @@ def test_coverage_fraction(tmp_path):
         {"id": "p3", "year": 1990, "countries": ["Japan"]},
         {"id": "p4", "year": 1990},
     ]
-    rs = parse_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    cov = rs.coverage
+    cov = coverage_stats(parse_records(write_jsonl(tmp_path / "r.jsonl", rows)))
     assert cov.total == 4
     assert cov.with_affiliation == 3
     assert cov.affiliation_fraction == 0.75
@@ -190,7 +189,7 @@ def test_coverage_fraction(tmp_path):
 def test_coverage_empty_corpus(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
-    cov = parse_records(path).coverage
+    cov = coverage_stats(parse_records(path))
     assert cov.total == 0
     assert cov.affiliation_fraction == 0.0
     assert cov.empty_corpus
@@ -198,7 +197,7 @@ def test_coverage_empty_corpus(tmp_path):
 
 def test_coverage_no_affiliations(tmp_path):
     rows = [{"id": "p1", "year": 1990}, {"id": "p2", "year": 1990}]
-    cov = parse_records(write_jsonl(tmp_path / "r.jsonl", rows)).coverage
+    cov = coverage_stats(parse_records(write_jsonl(tmp_path / "r.jsonl", rows)))
     assert cov.affiliation_fraction == 0.0
     assert not cov.empty_corpus
 
@@ -219,7 +218,7 @@ def test_coverage_recount_matches(tmp_path):
     rng = random.Random(11)
     rows = synthetic_corpus_rows(rng, 200, ["Ukraine", "France", "Japan", "Brazil"])
     rs = parse_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert rs.coverage.with_affiliation == sum(1 for r in rs.records if r.raw_countries)
+    assert coverage_stats(rs).with_affiliation == sum(1 for r in rs.records if r.raw_countries)
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -229,14 +228,17 @@ def test_jsonl_round_trip(tmp_path):
     write_records_jsonl(rs, tmp_path / "out.jsonl")
     again = parse_records(tmp_path / "out.jsonl")
     assert again.records == rs.records
-    assert again.coverage == rs.coverage
 
 
 def test_csv_round_trip(tmp_path):
     rng = random.Random(4)
     rows = synthetic_corpus_rows(rng, 60, ["Ukraine", "France"])
     rs = parse_records(write_jsonl(tmp_path / "in.jsonl", rows))
-    write_records_csv(rs, tmp_path / "out.csv")
+    with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "year", "text", "countries", "subjects"])
+        for r in rs.records:
+            writer.writerow([r.id, r.year, r.text, ";".join(r.raw_countries), ";".join(r.subjects)])
     again = parse_records(tmp_path / "out.csv", "csv")
     assert again.records == rs.records
 

@@ -15,14 +15,20 @@ from coauthnet import (
     metric_series,
     parse_records,
     slice_windows,
+    summary,
 )
-from coauthnet.temporal import UNCLASSIFIED_SUBJECT, densification_snapshots, fit_to_dict
+from coauthnet.temporal import SUMMARY_SELECTORS, UNCLASSIFIED_SUBJECT, densification_snapshots, fit_to_dict
 
 from conftest import densifying_corpus_rows, densifying_registry_csv, write_jsonl
 
 
 def _corpus(tmp_path, rows, name="corpus.jsonl"):
     return parse_records(write_jsonl(tmp_path / name, rows))
+
+
+def _column(series, name):
+    i = SUMMARY_SELECTORS.index(name)
+    return [row[i] for row in series.rows]
 
 
 def _span_corpus(tmp_path, years):
@@ -105,9 +111,8 @@ def test_mean_degree_series_strictly_increasing(tmp_path, registry):
     ]
     rs = _corpus(tmp_path, rows)
     windows = slice_windows(rs, 5, 5, "sliding")
-    series = metric_series(ResolvedCorpus(rs, registry), windows, "mean_degree", "sliding")
-    assert series.values[0] < series.values[1]
-    assert series.name == "mean_degree"
+    mean_degree = _column(metric_series(ResolvedCorpus(rs, registry), windows), "mean_degree")
+    assert mean_degree[0] < mean_degree[1]
 
 
 def test_diameter_series_constant_on_single_edges(tmp_path, registry):
@@ -117,27 +122,30 @@ def test_diameter_series_constant_on_single_edges(tmp_path, registry):
     ]
     rs = _corpus(tmp_path, rows)
     windows = slice_windows(rs, 5, 5, "sliding")
-    series = metric_series(ResolvedCorpus(rs, registry), windows, "diameter", "sliding")
-    assert series.values == [1, 1]
+    series = metric_series(ResolvedCorpus(rs, registry), windows)
+    assert _column(series, "diameter") == [1, 1]
 
 
 def test_metric_series_validation(tmp_path, registry):
     rs = _span_corpus(tmp_path, [1986, 1990])
     windows = slice_windows(rs, 5, 5, "sliding")
     with pytest.raises(UsageError):
-        metric_series(ResolvedCorpus(rs, registry), windows, "nope")
+        metric_series(ResolvedCorpus(rs, registry), [])
     with pytest.raises(UsageError):
-        metric_series(ResolvedCorpus(rs, registry), [], "mean_degree")
-    with pytest.raises(UsageError):
-        metric_series(ResolvedCorpus(rs, registry), [TimeWindow(1986, 1990), TimeWindow(1987, 1990)], "mean_degree")
+        metric_series(ResolvedCorpus(rs, registry), [TimeWindow(1986, 1990), TimeWindow(1987, 1990)])
 
 
 def test_metric_series_summary_objects(tmp_path, registry):
     rs = _span_corpus(tmp_path, [1986, 1992])
     windows = slice_windows(rs, 5, 5, "sliding")
-    series = metric_series(ResolvedCorpus(rs, registry), windows, "summary")
-    assert len(series.values) == len(windows)
-    assert series.values[0].n == 1
+    corpus = ResolvedCorpus(rs, registry)
+    series = metric_series(corpus, windows)
+    assert series.windows == windows
+    assert len(series.rows) == len(windows)
+    for window, row in zip(windows, series.rows):
+        s = summary(corpus.graph(window))
+        assert list(row) == [getattr(s, c) for c in SUMMARY_SELECTORS]
+    assert series.rows[0][SUMMARY_SELECTORS.index("n")] == 1
 
 
 def test_sliding_windows_ignore_outside_records(tmp_path, registry):
@@ -176,11 +184,11 @@ def test_densifying_corpus_mean_degree_grows(tmp_path):
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
     rs = _corpus(tmp_path, densifying_corpus_rows())
     windows = slice_windows(rs, 5, 5, "cumulative")
-    series = metric_series(ResolvedCorpus(rs, registry), windows, "mean_degree", "cumulative")
-    for earlier, later in zip(series.values, series.values[1:]):
+    mean_degree = _column(metric_series(ResolvedCorpus(rs, registry), windows), "mean_degree")
+    for earlier, later in zip(mean_degree, mean_degree[1:]):
         assert later >= earlier
-    assert series.values[0] < 2.0
-    assert series.values[-1] > 4.0
+    assert mean_degree[0] < 2.0
+    assert mean_degree[-1] > 4.0
 
 
 def test_two_point_fit_is_exact():

@@ -1,0 +1,42 @@
+"""The names the benchmark tracer wraps must exist in the package.
+
+bench/tracer.py wraps package functions by module and attribute name, and
+reports a name it cannot find as absent instead of failing, so a rename or
+a removed parameter would silently turn a per-layer metric into "absent".
+The tracer is read from its file and never installed here.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import runpy
+from pathlib import Path
+
+from coauthnet import RecordSet
+
+TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    return owner
+
+
+def test_every_traced_name_resolves():
+    entries = TRACER["SPANS"] + TRACER["CALL_COUNTERS"]
+    assert [name for name, module_name, attr in entries if not callable(_resolve(module_name, attr))] == []
+
+
+def test_counters_bind_existing_parameters():
+    spans = {name: (module_name, attr) for name, module_name, attr in TRACER["SPANS"]}
+    for span, parameter in (
+        ("temporal.metric_series", "windows"),
+        ("metrics.small_world", "samples"),
+        ("graph.build_network", "rs"),
+    ):
+        assert span in TRACER["COUNTERS"]
+        assert parameter in inspect.signature(_resolve(*spans[span])).parameters, span
+    # parse_records and build_network counters read RecordSet.records
+    assert "records" in {f.name for f in dataclasses.fields(RecordSet)}
