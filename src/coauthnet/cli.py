@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .countries import REGIONS, CountryRegistry, builtin_registry
 from .errors import DataError, UsageError
-from .export import LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
+from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import (
     DEFAULT_TOPIC_VARIANTS,
@@ -40,7 +40,6 @@ from .metrics import (
     is_clique,
     small_world,
     summary,
-    summary_to_dict,
     top_k_by_degree,
 )
 from .temporal import (
@@ -106,33 +105,12 @@ def build_parser() -> _Parser:
         p.add_argument("--clustering-mode", choices=CLUSTERING_MODES, default="exclude_low_degree", dest="clustering_mode")
         p.add_argument("--sw-samples", type=int, default=100, dest="sw_samples")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--layout", choices=("circular", "grouped_circles", "center_top_k", "year_bands"), default="circular")
-        p.add_argument("--size-attr", choices=("paper_count", "degree", "none"), default="paper_count", dest="size_attr")
+        p.add_argument("--layout", choices=LAYOUT_KINDS, default="circular")
+        p.add_argument("--size-attr", choices=SIZE_ATTRS, default="paper_count", dest="size_attr")
         p.add_argument("--gamma", type=float, default=0.5)
         p.add_argument("--top-k", type=int, default=10, dest="top_k")
         p.add_argument("--out", default="out")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        format=args.format,
-        variants=args.variants,
-        registry=args.registry,
-        window_length=args.window_length,
-        step=args.step,
-        mode=args.mode,
-        clustering_mode=args.clustering_mode,
-        sw_samples=args.sw_samples,
-        seed=args.seed,
-        layout=args.layout,
-        size_attr=args.size_attr,
-        gamma=args.gamma,
-        top_k=args.top_k,
-        out=args.out,
-    )
 
 
 def _write_json(path: Path, payload) -> None:
@@ -203,20 +181,15 @@ def _smallworld_doc(graph: CoauthorshipGraph, cfg: RunConfig) -> dict:
         report = small_world(graph, cfg.sw_samples, cfg.seed, cfg.clustering_mode)
     except UsageError as exc:
         return {"skipped": str(exc)}
-    return {
-        "l_actual": report.l_actual,
-        "c_actual": report.c_actual,
-        "l_random_mean": report.l_random_mean,
-        "c_random_mean": report.c_random_mean,
-        "sample_count": report.sample_count,
-        "seed": report.seed,
-        "sigma": report.sigma if math.isfinite(report.sigma) else None,
-    }
+    doc = dict(vars(report))
+    if not math.isfinite(report.sigma):
+        doc["sigma"] = None
+    return doc
 
 
 def stage_metrics(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> dict:
     graph_summary = summary(graph, cfg.clustering_mode)
-    _write_json(out / "summary.json", summary_to_dict(graph_summary))
+    _write_json(out / "summary.json", vars(graph_summary))
     table = centrality_table(graph, cfg.clustering_mode)
     _write_json(out / "centrality.json", table)
     _write_json(out / "degree_histogram.json", histogram_rows(degree_distribution(graph)))
@@ -228,12 +201,8 @@ def stage_metrics(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> dict:
 def stage_slice(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> list:
     windows = slice_windows(corpus.rs, cfg.window_length, cfg.step, cfg.mode)
     _write_json(out / "windows.json", [[w.start_year, w.end_year] for w in windows])
-    if windows:
-        series = metric_series(corpus, windows, cfg.clustering_mode)
-        csv_text, _ = emit_series(series)
-        (out / "series_summary.csv").write_text(csv_text, encoding="utf-8")
-    else:
-        (out / "series_summary.csv").write_text("", encoding="utf-8")
+    csv_text, _ = emit_series(metric_series(corpus, windows, cfg.clustering_mode))
+    (out / "series_summary.csv").write_text(csv_text, encoding="utf-8")
     for window in windows:
         print(window.label())
     return windows
@@ -268,11 +237,7 @@ def _check_config(cfg: RunConfig) -> None:
 
 
 def stage_export(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> None:
-    partition = {}
-    for code in graph.codes():
-        region = graph.node(code).region
-        partition[code] = REGIONS.index(region) + 1 if region in REGIONS else 0
-    net, clu = write_pajek(graph, partition)
+    net, clu = write_pajek(graph)
     (out / "network.net").write_text(net, encoding="utf-8")
     (out / "network.clu").write_text(clu, encoding="utf-8")
     spec = _layout_spec(cfg)
@@ -404,15 +369,15 @@ def stage_report(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> None:
     _write_json(out / "first_years.json", first_years)
     regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))
     (out / "regions_cumulative.csv").write_text(regions_csv, encoding="utf-8")
-    (out / "regions_cumulative.svg").write_text(regions_svg or "", encoding="utf-8")
+    (out / "regions_cumulative.svg").write_text(regions_svg, encoding="utf-8")
     disciplines = discipline_series(corpus.rs)
     disc_csv, disc_svg = emit_series(disciplines)
     (out / "disciplines.csv").write_text(disc_csv, encoding="utf-8")
-    (out / "disciplines.svg").write_text(disc_svg or "", encoding="utf-8")
+    (out / "disciplines.svg").write_text(disc_svg, encoding="utf-8")
 
     by_code = {row["code"]: row for row in result["centrality"]}
-    top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)] if graph.n else []
-    top_clique = is_clique(graph, [row["code"] for row in top_rows]) if top_rows else False
+    top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)]
+    top_clique = is_clique(graph, [row["code"] for row in top_rows])
     markdown = _report_markdown(cfg, corpus.coverage, result["summary"], top_rows, top_clique, result["smallworld"], densify_doc, windows)
     (out / "report.md").write_text(markdown, encoding="utf-8")
     print(f"report written to {out / 'report.md'}")
@@ -445,7 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        cfg = RunConfig(**vars(args))
         _check_config(cfg)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,12 @@ from .errors import DataError
 
 REGIONS = ("Europe", "Asia", "NorthAmerica", "SouthAmerica", "Africa", "Oceania")
 
-_CODE_RE = re.compile(r"^[A-Z]{2,3}$")
+_CODE_RE = re.compile(r"[A-Z]{2,3}")
+
+
+def is_country_code(code: str) -> bool:
+    """True iff `code` is 2-3 uppercase ASCII letters, the form of every registry code."""
+    return _CODE_RE.fullmatch(code) is not None
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,7 @@ class CountryRegistry:
         self._entries: dict[str, CountryEntry] = {}
         self._alias_index: dict[str, str] = {}
         for entry in entries:
-            if not _CODE_RE.match(entry.code):
+            if not is_country_code(entry.code):
                 raise DataError(f"invalid country code {entry.code!r} (want 2-3 uppercase letters)")
             if entry.region not in REGIONS:
                 raise DataError(f"unknown region {entry.region!r} for {entry.code}")

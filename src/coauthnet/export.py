@@ -81,12 +81,13 @@ class RenderedLayout:
 # Pajek
 
 
-def write_pajek(g: CoauthorshipGraph, partition: dict[str, int] | None = None) -> tuple[str, str | None]:
-    """Pajek .net text (and .clu text when a partition is given).
+def write_pajek(g: CoauthorshipGraph) -> tuple[str, str]:
+    """Pajek .net text and the .clu partition of its vertices by region.
 
     Vertices are numbered 1..N in ascending code order; edge lines are
-    `i j w` with i < j, sorted. The .clu lists one partition integer per
-    vertex in the same order (0 for codes missing from the map).
+    `i j w` with i < j, sorted. The .clu lists one integer per vertex in the
+    same order: the 1-based position of its region in REGIONS, or 0 when it
+    has none.
     """
     codes = g.codes()
     index = {code: i + 1 for i, code in enumerate(codes)}
@@ -94,13 +95,9 @@ def write_pajek(g: CoauthorshipGraph, partition: dict[str, int] | None = None) -
     lines += [f'{index[code]} "{code}"' for code in codes]
     lines.append("*Edges")
     lines += [f"{index[a]} {index[b]} {w}" for a, b, w in g.edges()]
-    net = "\n".join(lines) + "\n"
-    clu = None
-    if partition is not None:
-        clu_lines = [f"*Vertices {len(codes)}"]
-        clu_lines += [str(int(partition.get(code, 0))) for code in codes]
-        clu = "\n".join(clu_lines) + "\n"
-    return net, clu
+    slot = {region: i for i, region in enumerate(REGIONS, start=1)}
+    clu_lines = [f"*Vertices {len(codes)}"] + [str(slot.get(g.node(code).region, 0)) for code in codes]
+    return "\n".join(lines) + "\n", "\n".join(clu_lines) + "\n"
 
 
 _PAJEK_VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
@@ -375,7 +372,7 @@ def _line_chart_svg(x_values: list[float], columns: dict[str, list[float]]) -> s
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    x_lo, x_hi = min(x_values), max(x_values)
+    x_lo, x_hi = min(x_values, default=0.0), max(x_values, default=0.0)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     all_values = [v for series in columns.values() for v in series]
@@ -436,8 +433,8 @@ def emit_series(series, columns: list[str] | None = None) -> tuple[str, str | No
 
     Accepts a WindowSeries (one row per window, no chart) or a mapping of
     series key to {year: value} (one row per year, one column per key;
-    missing cells are 0; column order defaults to sorted keys). The chart
-    is None when there is no row to draw.
+    missing cells are 0; column order defaults to sorted keys). With no
+    year the chart draws its axes and legend but no data point.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -454,5 +451,4 @@ def emit_series(series, columns: list[str] | None = None) -> tuple[str, str | No
     for year in years:
         writer.writerow([year] + [_format_cell(series[key].get(year, 0)) for key in keys])
     chart_columns = {key: [float(series[key].get(year, 0)) for year in years] for key in keys}
-    svg = _line_chart_svg([float(y) for y in years], chart_columns) if years else None
-    return buf.getvalue(), svg
+    return buf.getvalue(), _line_chart_svg([float(y) for y in years], chart_columns)

@@ -10,12 +10,12 @@ kept. A built graph is immutable by convention and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
-from .countries import REGIONS, CountryRegistry
+from .countries import REGIONS, CountryRegistry, is_country_code
 from .errors import DataError, UsageError
 from .ingest import CoverageStats, RecordSet, coverage_stats
 
@@ -61,13 +61,16 @@ def _typed(value, kinds, what: str):
 
 
 def _node_from_dict(nd: dict) -> NodeAttr:
-    """A graph.json node; ValueError for a negative paper count or an unknown region."""
+    """A graph.json node; ValueError for a malformed code, a negative paper count
+    or an unknown region."""
     attr = NodeAttr(
         code=_typed(nd["code"], str, "node code"),
         paper_count=_typed(nd.get("paper_count"), (int, type(None)), "node paper_count"),
         first_year=_typed(nd.get("first_year"), (int, type(None)), "node first_year"),
         region=_typed(nd.get("region"), (str, type(None)), "node region"),
     )
+    if not is_country_code(attr.code):
+        raise ValueError(f"node code {attr.code!r} is not 2-3 uppercase letters")
     if attr.paper_count is not None and attr.paper_count < 0:
         raise ValueError(f"node {attr.code} paper_count {attr.paper_count} is negative")
     if attr.region is not None and attr.region not in REGIONS:
@@ -147,16 +150,8 @@ class CoauthorshipGraph:
 
     def to_dict(self) -> dict:
         return {
-            "window": {"start_year": self.window.start_year, "end_year": self.window.end_year},
-            "nodes": [
-                {
-                    "code": a.code,
-                    "paper_count": a.paper_count,
-                    "first_year": a.first_year,
-                    "region": a.region,
-                }
-                for a in self._nodes.values()
-            ],
+            "window": asdict(self.window),
+            "nodes": [asdict(a) for a in self._nodes.values()],
             "edges": [[a, b, w] for a, b, w in self.edges()],
         }
 

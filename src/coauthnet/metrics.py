@@ -482,27 +482,6 @@ def summary(g: CoauthorshipGraph, clustering_mode: str = DEFAULT_CLUSTERING_MODE
     )
 
 
-def summary_to_dict(s: GraphSummary) -> dict:
-    return {
-        "n": s.n,
-        "m": s.m,
-        "density": s.density,
-        "mean_degree": s.mean_degree,
-        "max_degree": s.max_degree,
-        "max_degree_codes": list(s.max_degree_codes),
-        "diameter": s.diameter,
-        "diameter_endpoints": [list(p) for p in s.diameter_endpoints],
-        "mean_path_length": s.mean_path_length,
-        "avg_clustering": s.avg_clustering,
-        "clustering_mode": s.clustering_mode,
-        "isolated_count": s.isolated_count,
-        "isolated_fraction": s.isolated_fraction,
-        "giant_size": s.giant_size,
-        "giant_fraction": s.giant_fraction,
-        "empty": s.empty,
-    }
-
-
 def centrality_table(g: CoauthorshipGraph, clustering_mode: str = DEFAULT_CLUSTERING_MODE) -> list[dict]:
     """Per-node centrality rows sorted by code."""
     degree = g.degrees()

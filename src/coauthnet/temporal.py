@@ -89,8 +89,6 @@ def metric_series(
     Only the row is kept, so each window's graph and summary are freed
     before the next window is built.
     """
-    if not windows:
-        raise UsageError("windows list must not be empty")
     ordered = sorted(windows, key=lambda w: (w.end_year, w.start_year))
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.end_year == prev.end_year:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -77,8 +79,20 @@ _WINDOW = {"start_year": 1990, "end_year": 1991}
         {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [["AT", "BE", True]]},
         {"window": _WINDOW, "nodes": [{"code": "AT", "region": "Mars"}], "edges": []},
         {"window": _WINDOW, "nodes": [{"code": "AT", "paper_count": -1}], "edges": []},
+        {"window": _WINDOW, "nodes": [{"code": 'A"B'}], "edges": []},
+        {"window": _WINDOW, "nodes": [{"code": ""}], "edges": []},
+        {"window": _WINDOW, "nodes": [{"code": "AB\n"}], "edges": []},
     ],
-    ids=["int-code", "list-endpoint", "bool-weight", "unknown-region", "negative-paper-count"],
+    ids=[
+        "int-code",
+        "list-endpoint",
+        "bool-weight",
+        "unknown-region",
+        "negative-paper-count",
+        "quote-code",
+        "empty-code",
+        "newline-code",
+    ],
 )
 def test_malformed_graph_json_is_data_exit(tmp_path, capsys, doc):
     out = tmp_path / "out"
@@ -137,6 +151,20 @@ def test_custom_variants_filter_everything(tmp_path):
     report = (out / "report.md").read_text()
     assert "nodes: 0" in report
     assert "skipped" in report
+
+
+CHECKS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "checks.py"))
+
+
+@pytest.mark.parametrize("variants, n, m", [(None, 8, 11), ("fusion\n", 0, 0)], ids=["fixture", "filter-everything"])
+def test_report_artifacts_pass_benchmark_checks(tmp_path, capsys, variants, n, m):
+    out = tmp_path / "out"
+    args = ["report", "--input", FIXTURE_CORPUS, "--out", out]
+    if variants is not None:
+        (tmp_path / "variants.txt").write_text(variants, encoding="utf-8")
+        args += ["--variants", tmp_path / "variants.txt"]
+    assert run(*args) == 0
+    assert CHECKS["check_artifacts"](out, CHECKS["report_artifacts"](out), n, m) == []
 
 
 def test_custom_registry(tmp_path):

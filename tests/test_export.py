@@ -42,7 +42,7 @@ def test_pajek_two_node_document():
     g = graph_from_edges([("UA", "US", 3)])
     net, clu = write_pajek(g)
     assert net == '*Vertices 2\n1 "UA"\n2 "US"\n*Edges\n1 2 3\n'
-    assert clu is None
+    assert clu == "*Vertices 2\n0\n0\n"
 
 
 def test_pajek_empty_graph():
@@ -62,9 +62,9 @@ def test_pajek_reference_graph_round_trip(fixture_graph):
 
 
 def test_pajek_partition_document():
-    g = graph_from_edges([("UA", "US", 1)])
-    _, clu = write_pajek(g, partition={"UA": 2, "US": 5})
-    assert clu == "*Vertices 2\n2\n5\n"
+    g = attr_graph([("UA", "US", 1)], {"UA": {"region": "Europe"}, "US": {"region": "NorthAmerica"}})
+    _, clu = write_pajek(g)
+    assert clu == "*Vertices 2\n1\n3\n"
 
 
 def test_pajek_reader_rejects_malformed():
@@ -325,7 +325,8 @@ def test_emit_series_region_column_order():
 def test_emit_series_empty():
     csv_text, svg = emit_series({})
     assert csv_text == "year\n"
-    assert svg is None
+    assert ET.fromstring(svg).tag.endswith("svg")
+    assert "<polyline" not in svg
 
 
 def test_emit_series_missing_cells_are_zero():
