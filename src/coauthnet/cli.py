@@ -48,7 +48,6 @@ from .temporal import (
     densification_snapshots,
     discipline_series,
     first_year_series,
-    fit_to_dict,
     metric_series,
     slice_windows,
 )
@@ -95,7 +94,7 @@ def build_parser() -> _Parser:
         ("report", "run the whole pipeline and write report.md"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="record file (JSONL or CSV)")
+        p.add_argument("--input", required=name in ("ingest", "report"), help="record file (JSONL or CSV)")
         p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
         p.add_argument("--variants", help="topic variants file, one term per line (default: built-in list)")
         p.add_argument("--registry", help="country registry CSV (default: built-in registry)")
@@ -113,8 +112,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+class OutputDir:
+    """The output directory: every artifact is written through it, and its
+    name recorded in write order for report.md's index."""
+
+    def __init__(self, root: Path):
+        root.mkdir(parents=True, exist_ok=True)
+        self.root = root
+        self.names: list[str] = []
+
+    def path(self, name: str) -> Path:
+        self.names.append(name)
+        return self.root / name
+
+    def text(self, name: str, text: str) -> None:
+        self.path(name).write_text(text, encoding="utf-8")
+
+    def json(self, name: str, payload) -> None:
+        self.text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_registry(cfg: RunConfig) -> CountryRegistry:
@@ -125,52 +140,41 @@ def _resolve_variants(cfg: RunConfig) -> tuple[str, ...]:
     return load_variants(cfg.variants) if cfg.variants else DEFAULT_TOPIC_VARIANTS
 
 
-def _echo_config(cfg: RunConfig, out: Path) -> None:
+def _echo_config(cfg: RunConfig, out: OutputDir) -> None:
     doc = asdict(cfg)
     doc["resolved_variants"] = list(_resolve_variants(cfg))
-    _write_json(out / "config.json", doc)
+    out.json("config.json", doc)
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: Path) -> ResolvedCorpus:
+def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: OutputDir) -> ResolvedCorpus:
     if not cfg.input:
         raise UsageError("--input is required (no records.jsonl found in the output directory)")
     parsed = parse_records(cfg.input, cfg.format)
     corpus = ResolvedCorpus(filter_topic(parsed, _resolve_variants(cfg)), registry)
-    write_records_jsonl(corpus.rs, out / "records.jsonl")
-    cov = corpus.coverage
-    _write_json(
-        out / "coverage.json",
-        {
-            "total_parsed": len(parsed),
-            "kept_after_topic_filter": cov.total,
-            "with_affiliation": cov.with_affiliation,
-            "affiliation_fraction": cov.affiliation_fraction,
-            "unknown_country_names": [[name, count] for name, count in cov.unknown_country_names],
-            "empty_corpus": cov.empty_corpus,
-        },
-    )
+    write_records_jsonl(corpus.rs, out.path("records.jsonl"))
+    out.json("coverage.json", {"total_parsed": len(parsed), **vars(corpus.coverage)})
     return corpus
 
 
-def _load_corpus(cfg: RunConfig, registry: CountryRegistry, out: Path) -> ResolvedCorpus:
-    records_path = out / "records.jsonl"
+def _load_corpus(cfg: RunConfig, registry: CountryRegistry, out: OutputDir) -> ResolvedCorpus:
+    records_path = out.root / "records.jsonl"
     if records_path.exists() and not cfg.input:
         return ResolvedCorpus(parse_records(records_path, "jsonl"), registry)
     return stage_ingest(cfg, registry, out)
 
 
-def stage_build(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> CoauthorshipGraph:
+def stage_build(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> CoauthorshipGraph:
     graph = corpus.graph()
-    graph.save(out / "graph.json")
+    graph.save(out.path("graph.json"))
     return graph
 
 
-def _load_graph(cfg: RunConfig, registry: CountryRegistry, out: Path) -> CoauthorshipGraph:
-    graph_path = out / "graph.json"
+def _load_graph(cfg: RunConfig, registry: CountryRegistry, out: OutputDir) -> CoauthorshipGraph:
+    graph_path = out.root / "graph.json"
     if graph_path.exists() and not cfg.input:
         return CoauthorshipGraph.load(graph_path)
     return stage_build(cfg, _load_corpus(cfg, registry, out), out)
@@ -187,37 +191,37 @@ def _smallworld_doc(graph: CoauthorshipGraph, cfg: RunConfig) -> dict:
     return doc
 
 
-def stage_metrics(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> dict:
+def stage_metrics(cfg: RunConfig, graph: CoauthorshipGraph, out: OutputDir) -> dict:
     graph_summary = summary(graph, cfg.clustering_mode)
-    _write_json(out / "summary.json", vars(graph_summary))
+    out.json("summary.json", vars(graph_summary))
     table = centrality_table(graph, cfg.clustering_mode)
-    _write_json(out / "centrality.json", table)
-    _write_json(out / "degree_histogram.json", histogram_rows(degree_distribution(graph)))
+    out.json("centrality.json", table)
+    out.json("degree_histogram.json", histogram_rows(degree_distribution(graph)))
     sw_doc = _smallworld_doc(graph, cfg)
-    _write_json(out / "smallworld.json", sw_doc)
+    out.json("smallworld.json", sw_doc)
     return {"summary": graph_summary, "centrality": table, "smallworld": sw_doc}
 
 
-def stage_slice(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> list:
+def stage_slice(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> list:
     windows = slice_windows(corpus.rs, cfg.window_length, cfg.step, cfg.mode)
-    _write_json(out / "windows.json", [[w.start_year, w.end_year] for w in windows])
+    out.json("windows.json", [[w.start_year, w.end_year] for w in windows])
     csv_text, _ = emit_series(metric_series(corpus, windows, cfg.clustering_mode))
-    (out / "series_summary.csv").write_text(csv_text, encoding="utf-8")
+    out.text("series_summary.csv", csv_text)
     for window in windows:
         print(window.label())
     return windows
 
 
-def stage_densify(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> dict:
+def stage_densify(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> dict:
     windows, pairs = densification_snapshots(corpus, cfg.window_length)
     lines = ["start_year,end_year,n,m"]
     lines += [f"{w.start_year},{w.end_year},{n},{m}" for w, (n, m) in zip(windows, pairs)]
-    (out / "snapshots.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.text("snapshots.csv", "\n".join(lines) + "\n")
     try:
-        doc = fit_to_dict(densification_fit(pairs))
+        doc = vars(densification_fit(pairs))
     except UsageError as exc:
         doc = {"skipped": str(exc)}
-    _write_json(out / "densification.json", doc)
+    out.json("densification.json", doc)
     return doc
 
 
@@ -236,13 +240,13 @@ def _check_config(cfg: RunConfig) -> None:
         raise UsageError("--sw-samples must be >= 1")
 
 
-def stage_export(cfg: RunConfig, graph: CoauthorshipGraph, out: Path) -> None:
+def stage_export(cfg: RunConfig, graph: CoauthorshipGraph, out: OutputDir) -> None:
+    """Render all four texts first, so a graph that cannot be drawn leaves no file."""
     net, clu = write_pajek(graph)
-    (out / "network.net").write_text(net, encoding="utf-8")
-    (out / "network.clu").write_text(clu, encoding="utf-8")
     spec = _layout_spec(cfg)
-    (out / "network.dot").write_text(write_dot(graph, spec), encoding="utf-8")
-    (out / "network.svg").write_text(render_network_svg(graph, spec), encoding="utf-8")
+    dot, svg = write_dot(graph, spec), render_network_svg(graph, spec)
+    for suffix, text in (("net", net), ("clu", clu), ("dot", dot), ("svg", svg)):
+        out.text(f"network.{suffix}", text)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +264,12 @@ def _pairs_text(pairs, limit: int = 6) -> str:
     return ", ".join(shown) if shown else "none"
 
 
-def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, densify_doc, windows) -> str:
+def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, densify_doc, windows, artifacts) -> str:
     s = graph_summary
     lines = ["# Country coauthorship network report", ""]
 
     lines += ["## Corpus", ""]
-    lines.append(f"- records after topic filter: {cov.total}")
+    lines.append(f"- records after topic filter: {cov.kept_after_topic_filter}")
     lines.append(f"- records with affiliation countries: {cov.with_affiliation} ({_pct(cov.affiliation_fraction)})")
     if cov.unknown_country_names:
         shown = ", ".join(f"{name} ({count})" for name, count in cov.unknown_country_names[:5])
@@ -330,57 +334,36 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
     lines.append("")
 
     lines += ["## Artifacts", ""]
-    for name in (
-        "config.json",
-        "records.jsonl",
-        "coverage.json",
-        "graph.json",
-        "summary.json",
-        "centrality.json",
-        "degree_histogram.json",
-        "smallworld.json",
-        "windows.json",
-        "series_summary.csv",
-        "snapshots.csv",
-        "densification.json",
-        "first_years.json",
-        "regions_cumulative.csv",
-        "regions_cumulative.svg",
-        "disciplines.csv",
-        "disciplines.svg",
-        "network.net",
-        "network.clu",
-        "network.dot",
-        "network.svg",
-    ):
+    for name in artifacts:
         lines.append(f"- [{name}]({name})")
     lines.append("")
     return "\n".join(lines)
 
 
-def stage_report(cfg: RunConfig, corpus: ResolvedCorpus, out: Path) -> None:
+def stage_report(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> None:
     graph = stage_build(cfg, corpus, out)
     result = stage_metrics(cfg, graph, out)
     windows = stage_slice(cfg, corpus, out)
     densify_doc = stage_densify(cfg, corpus, out)
-    stage_export(cfg, graph, out)
 
     first_years, cumulative = first_year_series(corpus)
-    _write_json(out / "first_years.json", first_years)
+    out.json("first_years.json", first_years)
     regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))
-    (out / "regions_cumulative.csv").write_text(regions_csv, encoding="utf-8")
-    (out / "regions_cumulative.svg").write_text(regions_svg, encoding="utf-8")
-    disciplines = discipline_series(corpus.rs)
-    disc_csv, disc_svg = emit_series(disciplines)
-    (out / "disciplines.csv").write_text(disc_csv, encoding="utf-8")
-    (out / "disciplines.svg").write_text(disc_svg, encoding="utf-8")
+    out.text("regions_cumulative.csv", regions_csv)
+    out.text("regions_cumulative.svg", regions_svg)
+    disc_csv, disc_svg = emit_series(discipline_series(corpus.rs))
+    out.text("disciplines.csv", disc_csv)
+    out.text("disciplines.svg", disc_svg)
+    stage_export(cfg, graph, out)
 
     by_code = {row["code"]: row for row in result["centrality"]}
     top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)]
     top_clique = is_clique(graph, [row["code"] for row in top_rows])
-    markdown = _report_markdown(cfg, corpus.coverage, result["summary"], top_rows, top_clique, result["smallworld"], densify_doc, windows)
-    (out / "report.md").write_text(markdown, encoding="utf-8")
-    print(f"report written to {out / 'report.md'}")
+    markdown = _report_markdown(
+        cfg, corpus.coverage, result["summary"], top_rows, top_clique, result["smallworld"], densify_doc, windows, out.names
+    )
+    out.text("report.md", markdown)
+    print(f"report written to {out.root / 'report.md'}")
 
 
 _HANDLERS = {
@@ -402,7 +385,7 @@ _INPUTS = {
     "slice": _load_corpus,
     "densify": _load_corpus,
     "export": _load_graph,
-    "report": _load_corpus,
+    "report": stage_ingest,
 }
 
 
@@ -412,8 +395,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = RunConfig(**vars(args))
         _check_config(cfg)
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = OutputDir(Path(cfg.out))
         registry = _load_registry(cfg)
         _echo_config(cfg, out)
         _HANDLERS[cfg.command](cfg, _INPUTS[cfg.command](cfg, registry, out), out)

@@ -399,7 +399,7 @@ def _line_chart_svg(x_values: list[float], columns: dict[str, list[float]]) -> s
     out.write("  </g>\n")
 
     out.write('  <g font-family="sans-serif" font-size="11" fill="#222222">\n')
-    for tick in _nice_ticks(x_lo, x_hi):
+    for tick in _nice_ticks(x_lo, x_hi) if x_values else ():
         x = sx(tick)
         label = f"{tick:.0f}" if float(tick).is_integer() else f"{tick:g}"
         out.write(f'    <line x1="{x:.2f}" y1="{top + plot_h:.2f}" x2="{x:.2f}" y2="{top + plot_h + 5:.2f}" stroke="#444444"/>\n')
@@ -412,7 +412,7 @@ def _line_chart_svg(x_values: list[float], columns: dict[str, list[float]]) -> s
     out.write("  </g>\n")
 
     keys = list(columns)
-    for i, key in enumerate(keys):
+    for i, key in enumerate(keys if x_values else ()):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(x_values, columns[key]))
         out.write(f'  <polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>\n')
@@ -434,7 +434,8 @@ def emit_series(series, columns: list[str] | None = None) -> tuple[str, str | No
     Accepts a WindowSeries (one row per window, no chart) or a mapping of
     series key to {year: value} (one row per year, one column per key;
     missing cells are 0; column order defaults to sorted keys). With no
-    year the chart draws its axes and legend but no data point.
+    year the chart draws its axes, y ticks and legend, but no x tick and
+    no line.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -40,7 +40,7 @@ class PublicationRecord:
 
 @dataclass
 class CoverageStats:
-    total: int = 0
+    kept_after_topic_filter: int = 0
     with_affiliation: int = 0
     affiliation_fraction: float = 0.0
     unknown_country_names: list[tuple[str, int]] = field(default_factory=list)
@@ -204,7 +204,7 @@ def coverage_stats(rs: RecordSet, unknown: dict[str, int] | None = None) -> Cove
     total = len(rs.records)
     with_affiliation = sum(1 for r in rs.records if r.raw_countries)
     return CoverageStats(
-        total=total,
+        kept_after_topic_filter=total,
         with_affiliation=with_affiliation,
         affiliation_fraction=with_affiliation / total if total else 0.0,
         unknown_country_names=sorted((unknown or {}).items(), key=lambda kv: (-kv[1], kv[0])),

@@ -102,19 +102,19 @@ def metric_series(
 
 @dataclass
 class LogLogFit:
-    exponent: float
-    prefactor: float
+    """y ~ c * x^alpha; its fields are the keys of densification.json."""
+
+    alpha: float
+    c: float
     r_squared: float | None
     points_used: int
-    exact_fit: bool = False
     excluded: list[tuple[int, int]] = field(default_factory=list)
 
 
 def loglog_fit(points) -> LogLogFit:
-    """Least squares on (ln x, ln y); exponent is the slope, prefactor exp(intercept).
+    """Least squares on (ln x, ln y); alpha is the slope, c exp(intercept).
 
-    Two points determine the line exactly; r_squared is then reported as None
-    with the exact-fit flag set.
+    Two points determine the line exactly; r_squared is then reported as None.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
@@ -128,8 +128,7 @@ def loglog_fit(points) -> LogLogFit:
         raise UsageError("all x values coincide; the exponent is undefined")
     slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / x_var)
     intercept = float(ly.mean() - slope * lx.mean())
-    exact = len(pts) == 2
-    if exact:
+    if len(pts) == 2:
         r_squared = None
     else:
         predicted = slope * lx + intercept
@@ -137,11 +136,10 @@ def loglog_fit(points) -> LogLogFit:
         ss_tot = float(np.sum((ly - ly.mean()) ** 2))
         r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
     return LogLogFit(
-        exponent=float(slope),
-        prefactor=float(math.exp(intercept)),
+        alpha=float(slope),
+        c=float(math.exp(intercept)),
         r_squared=r_squared,
         points_used=len(pts),
-        exact_fit=exact,
     )
 
 
@@ -159,16 +157,6 @@ def densification_fit(snapshots) -> LogLogFit:
     fit = loglog_fit(usable)
     fit.excluded = excluded
     return fit
-
-
-def fit_to_dict(fit: LogLogFit) -> dict:
-    return {
-        "alpha": fit.exponent,
-        "c": fit.prefactor,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-        "excluded": [list(p) for p in fit.excluded],
-    }
 
 
 def densification_snapshots(

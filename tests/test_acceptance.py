@@ -134,12 +134,12 @@ def test_criterion_4_densification_recovery():
     t0 = time.monotonic()
     points = [(n, round(0.5 * n**1.5)) for n in (10, 20, 40, 80, 160)]
     fit = densification_fit(points)
-    assert abs(fit.exponent - 1.5) <= 0.05
+    assert abs(fit.alpha - 1.5) <= 0.05
     assert fit.r_squared >= 0.99
 
     exact = densification_fit([(2, 1), (4, 4)])
-    assert abs(exact.exponent - 2.0) <= TOL
-    assert exact.exact_fit
+    assert abs(exact.alpha - 2.0) <= TOL
+    assert exact.r_squared is None
     _finish(4, "densification recovery", t0, 1.0)
 
 

@@ -32,6 +32,17 @@ def test_report_on_reference_corpus(tmp_path, capsys):
             assert (out / name).exists(), name
 
 
+def test_report_links_every_artifact_in_write_order(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("report", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    lines = (out / "report.md").read_text(encoding="utf-8").splitlines()
+    links = [line.split("](")[1].rstrip(")") for line in lines[lines.index("## Artifacts") :] if line.startswith("- [")]
+    assert len(links) == len(set(links))
+    assert sorted(links) == sorted(p.name for p in out.iterdir() if p.name != "report.md")
+    mtimes = [(out / name).stat().st_mtime_ns for name in [*links, "report.md"]]
+    assert mtimes == sorted(mtimes)
+
+
 def test_slice_lists_windows(tmp_path, capsys):
     rows = [
         {"id": "a", "year": 1986, "text": "chernobyl", "countries": ["Ukraine"]},
@@ -55,6 +66,24 @@ def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
 def test_missing_input_is_usage_error(tmp_path, capsys):
     assert run("ingest", "--out", tmp_path / "out") == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_missing_input_writes_nothing(tmp_path, capsys, command):
+    out = tmp_path / "fresh"
+    assert run(command, "--out", out) == 1
+    assert "--input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_never_reuses_ingested_records(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    variants = tmp_path / "variants.txt"
+    variants.write_text("fusion\n", encoding="utf-8")
+    assert run("report", "--variants", variants, "--out", out) == 1
+    assert not (out / "graph.json").exists()
+    assert json.loads((out / "config.json").read_text())["command"] == "ingest"
 
 
 def test_missing_file_is_data_exit(tmp_path, capsys):
@@ -102,6 +131,16 @@ def test_malformed_graph_json_is_data_exit(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert "malformed graph document" in err and "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+def test_export_that_cannot_draw_writes_no_network_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    doc = {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [["AT", "BE", 1]]}
+    (out / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run("export", "--out", out) == 1
+    assert "no paper count" in capsys.readouterr().err
+    assert not list(out.glob("network.*"))
 
 
 def test_file_mediated_pipeline(tmp_path, capsys):

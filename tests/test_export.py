@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coauthnet import (
+    REGIONS,
     DataError,
     LayoutSpec,
     TimeWindow,
@@ -327,6 +328,14 @@ def test_emit_series_empty():
     assert csv_text == "year\n"
     assert ET.fromstring(svg).tag.endswith("svg")
     assert "<polyline" not in svg
+
+
+def test_emit_series_without_years_draws_no_line_or_x_tick():
+    _, svg = emit_series({region: {} for region in REGIONS}, columns=list(REGIONS))
+    root = ET.fromstring(svg)
+    assert "<polyline" not in svg
+    assert not [t for t in root.iter("{http://www.w3.org/2000/svg}text") if t.get("text-anchor") == "middle"]
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text") if t.get("text-anchor") is None] == list(REGIONS)
 
 
 def test_emit_series_missing_cells_are_zero():

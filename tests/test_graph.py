@@ -279,5 +279,5 @@ def test_empty_records_skipped_for_graph_but_counted(tmp_path, registry):
     rs = _corpus(tmp_path, rows)
     corpus = ResolvedCorpus(rs, registry)
     assert corpus.graph().n == 2
-    assert corpus.coverage.total == 2
+    assert corpus.coverage.kept_after_topic_filter == 2
     assert corpus.coverage.with_affiliation == 1

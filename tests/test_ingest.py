@@ -180,7 +180,7 @@ def test_coverage_fraction(tmp_path):
         {"id": "p4", "year": 1990},
     ]
     cov = coverage_stats(parse_records(write_jsonl(tmp_path / "r.jsonl", rows)))
-    assert cov.total == 4
+    assert cov.kept_after_topic_filter == 4
     assert cov.with_affiliation == 3
     assert cov.affiliation_fraction == 0.75
     assert not cov.empty_corpus
@@ -190,7 +190,7 @@ def test_coverage_empty_corpus(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
     cov = coverage_stats(parse_records(path))
-    assert cov.total == 0
+    assert cov.kept_after_topic_filter == 0
     assert cov.affiliation_fraction == 0.0
     assert cov.empty_corpus
 

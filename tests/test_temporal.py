@@ -17,7 +17,7 @@ from coauthnet import (
     slice_windows,
     summary,
 )
-from coauthnet.temporal import SUMMARY_SELECTORS, UNCLASSIFIED_SUBJECT, densification_snapshots, fit_to_dict
+from coauthnet.temporal import SUMMARY_SELECTORS, UNCLASSIFIED_SUBJECT, densification_snapshots
 
 from conftest import densifying_corpus_rows, densifying_registry_csv, write_jsonl
 
@@ -192,9 +192,8 @@ def test_densifying_corpus_mean_degree_grows(tmp_path):
 
 def test_two_point_fit_is_exact():
     fit = densification_fit([(2, 1), (4, 4)])
-    assert abs(fit.exponent - 2.0) < 1e-9
-    assert abs(fit.prefactor - 0.25) < 1e-9
-    assert fit.exact_fit
+    assert abs(fit.alpha - 2.0) < 1e-9
+    assert abs(fit.c - 0.25) < 1e-9
     assert fit.r_squared is None
     assert fit.points_used == 2
 
@@ -202,7 +201,7 @@ def test_two_point_fit_is_exact():
 def test_fit_recovers_generated_exponent():
     points = [(n, round(0.5 * n**1.5)) for n in (10, 20, 40, 80)]
     fit = densification_fit(points)
-    assert abs(fit.exponent - 1.5) <= 0.05
+    assert abs(fit.alpha - 1.5) <= 0.05
     assert fit.r_squared >= 0.99
 
 
@@ -210,8 +209,8 @@ def test_fit_exact_power_law_within_1e9():
     c, alpha = 0.37, 1.8
     points = [(float(n), c * n**alpha) for n in (3, 7, 15, 40, 90)]
     fit = loglog_fit(points)
-    assert abs(fit.exponent - alpha) <= 1e-9
-    assert abs(fit.prefactor - c) <= 1e-9
+    assert abs(fit.alpha - alpha) <= 1e-9
+    assert abs(fit.c - c) <= 1e-9
     assert fit.r_squared == pytest.approx(1.0)
 
 
@@ -219,7 +218,7 @@ def test_fit_excludes_degenerate_snapshots():
     fit = densification_fit([(1, 0), (2, 1), (4, 4), (1, 3)])
     assert fit.points_used == 2
     assert fit.excluded == [(1, 0), (1, 3)]
-    assert abs(fit.exponent - 2.0) < 1e-9
+    assert abs(fit.alpha - 2.0) < 1e-9
 
 
 def test_fit_needs_two_usable_points():
@@ -232,9 +231,9 @@ def test_fit_needs_two_usable_points():
 
 
 def test_fit_to_dict_shape():
-    doc = fit_to_dict(densification_fit([(2, 1), (4, 4), (1, 0)]))
+    doc = vars(densification_fit([(2, 1), (4, 4), (1, 0)]))
     assert set(doc) == {"alpha", "c", "r_squared", "points_used", "excluded"}
-    assert doc["excluded"] == [[1, 0]]
+    assert doc["excluded"] == [(1, 0)]
 
 
 def test_densification_snapshots_counts(tmp_path):
