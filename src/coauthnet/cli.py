@@ -2,14 +2,15 @@
 export, plus a combined `report` run.
 
 Every stage writes its artifacts into the output directory and receives
-what it consumes: the registry (ingest), the resolved corpus (build, slice,
-densify, report) or the main graph (metrics, export). Standalone stages read
-that input back from the output directory (records.jsonl, graph.json), so
-runs are cacheable and each step can be re-executed in isolation. `report`
-resolves the corpus once and hands the corpus and graph to the other stages
-in memory; it writes the same bytes as the standalone stages in sequence. A
-resolved copy of the configuration is echoed to config.json; together with
-the input file it fully determines every artifact byte.
+what it consumes: the registry (ingest, report), the resolved corpus (build,
+slice, densify) or the main graph (metrics, export). Standalone stages read
+that input back from the output directory (records.jsonl, graph.json) and
+take no flag that shaped it, so each step can be re-executed in isolation
+and never reads a cache another configuration wrote. `report` ingests its
+input, resolves the corpus once and hands the corpus and graph to the other
+stages in memory; it writes the same bytes as the standalone stages in
+sequence. The flags of the command are echoed to config.json; together with
+the input file they fully determine every artifact byte `report` writes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .countries import REGIONS, CountryRegistry, builtin_registry
@@ -52,28 +52,6 @@ from .temporal import (
     slice_windows,
 )
 
-_COMMANDS = ("ingest", "build", "metrics", "slice", "densify", "export", "report")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None
-    format: str
-    variants: str | None
-    registry: str | None
-    window_length: int
-    step: int
-    mode: str
-    clustering_mode: str
-    sw_samples: int
-    seed: int
-    layout: str
-    size_attr: str
-    gamma: float
-    top_k: int
-    out: str
-
 
 class _Parser(argparse.ArgumentParser):
     # Exit code 1 for usage problems (argparse defaults to 2).
@@ -94,10 +72,13 @@ def build_parser() -> _Parser:
         ("report", "run the whole pipeline and write report.md"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=name in ("ingest", "report"), help="record file (JSONL or CSV)")
-        p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        p.add_argument("--variants", help="topic variants file, one term per line (default: built-in list)")
-        p.add_argument("--registry", help="country registry CSV (default: built-in registry)")
+        # A standalone stage takes no flag that shaped the cached input it reads.
+        if name in ("ingest", "report"):
+            p.add_argument("--input", required=True, help="record file (JSONL or CSV)")
+            p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+            p.add_argument("--variants", help="topic variants file, one term per line (default: built-in list)")
+        if name not in ("metrics", "export"):
+            p.add_argument("--registry", help="country registry CSV (default: built-in registry)")
         p.add_argument("--window-length", type=int, default=5, dest="window_length")
         p.add_argument("--step", type=int, default=5)
         p.add_argument("--mode", choices=WINDOW_MODES, default="sliding")
@@ -132,55 +113,51 @@ class OutputDir:
         self.text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_registry(cfg: RunConfig) -> CountryRegistry:
+def _load_registry(cfg: argparse.Namespace) -> CountryRegistry:
     return CountryRegistry.from_csv(cfg.registry) if cfg.registry else builtin_registry()
 
 
-def _resolve_variants(cfg: RunConfig) -> tuple[str, ...]:
-    return load_variants(cfg.variants) if cfg.variants else DEFAULT_TOPIC_VARIANTS
+def _load_side_files(cfg: argparse.Namespace, root: Path) -> CountryRegistry:
+    """The registry of ingest and report. The topic variants are read here
+    too and kept on the config, which config.json echoes."""
+    cfg.resolved_variants = load_variants(cfg.variants) if cfg.variants else DEFAULT_TOPIC_VARIANTS
+    return _load_registry(cfg)
 
 
-def _echo_config(cfg: RunConfig, out: OutputDir) -> None:
-    doc = asdict(cfg)
-    doc["resolved_variants"] = list(_resolve_variants(cfg))
-    out.json("config.json", doc)
+def _cached(root: Path, name: str, producer: str) -> Path:
+    path = root / name
+    if not path.is_file():
+        raise UsageError(f"no {name} in {root}: run `coauthnet {producer} --out {root}` first")
+    return path
+
+
+def _load_corpus(cfg: argparse.Namespace, root: Path) -> ResolvedCorpus:
+    return ResolvedCorpus(parse_records(_cached(root, "records.jsonl", "ingest"), "jsonl"), _load_registry(cfg))
+
+
+def _load_graph(cfg: argparse.Namespace, root: Path) -> CoauthorshipGraph:
+    return CoauthorshipGraph.load(_cached(root, "graph.json", "build"))
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def stage_ingest(cfg: RunConfig, registry: CountryRegistry, out: OutputDir) -> ResolvedCorpus:
-    if not cfg.input:
-        raise UsageError("--input is required (no records.jsonl found in the output directory)")
+def stage_ingest(cfg: argparse.Namespace, registry: CountryRegistry, out: OutputDir) -> ResolvedCorpus:
     parsed = parse_records(cfg.input, cfg.format)
-    corpus = ResolvedCorpus(filter_topic(parsed, _resolve_variants(cfg)), registry)
+    corpus = ResolvedCorpus(filter_topic(parsed, cfg.resolved_variants), registry)
     write_records_jsonl(corpus.rs, out.path("records.jsonl"))
     out.json("coverage.json", {"total_parsed": len(parsed), **vars(corpus.coverage)})
     return corpus
 
 
-def _load_corpus(cfg: RunConfig, registry: CountryRegistry, out: OutputDir) -> ResolvedCorpus:
-    records_path = out.root / "records.jsonl"
-    if records_path.exists() and not cfg.input:
-        return ResolvedCorpus(parse_records(records_path, "jsonl"), registry)
-    return stage_ingest(cfg, registry, out)
-
-
-def stage_build(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> CoauthorshipGraph:
+def stage_build(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> CoauthorshipGraph:
     graph = corpus.graph()
     graph.save(out.path("graph.json"))
     return graph
 
 
-def _load_graph(cfg: RunConfig, registry: CountryRegistry, out: OutputDir) -> CoauthorshipGraph:
-    graph_path = out.root / "graph.json"
-    if graph_path.exists() and not cfg.input:
-        return CoauthorshipGraph.load(graph_path)
-    return stage_build(cfg, _load_corpus(cfg, registry, out), out)
-
-
-def _smallworld_doc(graph: CoauthorshipGraph, cfg: RunConfig) -> dict:
+def _smallworld_doc(graph: CoauthorshipGraph, cfg: argparse.Namespace) -> dict:
     try:
         report = small_world(graph, cfg.sw_samples, cfg.seed, cfg.clustering_mode)
     except UsageError as exc:
@@ -191,7 +168,7 @@ def _smallworld_doc(graph: CoauthorshipGraph, cfg: RunConfig) -> dict:
     return doc
 
 
-def stage_metrics(cfg: RunConfig, graph: CoauthorshipGraph, out: OutputDir) -> dict:
+def stage_metrics(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> dict:
     graph_summary = summary(graph, cfg.clustering_mode)
     out.json("summary.json", vars(graph_summary))
     table = centrality_table(graph, cfg.clustering_mode)
@@ -202,7 +179,7 @@ def stage_metrics(cfg: RunConfig, graph: CoauthorshipGraph, out: OutputDir) -> d
     return {"summary": graph_summary, "centrality": table, "smallworld": sw_doc}
 
 
-def stage_slice(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> list:
+def stage_slice(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> list:
     windows = slice_windows(corpus.rs, cfg.window_length, cfg.step, cfg.mode)
     out.json("windows.json", [[w.start_year, w.end_year] for w in windows])
     csv_text, _ = emit_series(metric_series(corpus, windows, cfg.clustering_mode))
@@ -212,7 +189,7 @@ def stage_slice(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> list:
     return windows
 
 
-def stage_densify(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> dict:
+def stage_densify(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> dict:
     windows, pairs = densification_snapshots(corpus, cfg.window_length)
     lines = ["start_year,end_year,n,m"]
     lines += [f"{w.start_year},{w.end_year},{n},{m}" for w, (n, m) in zip(windows, pairs)]
@@ -225,11 +202,11 @@ def stage_densify(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> dic
     return doc
 
 
-def _layout_spec(cfg: RunConfig) -> LayoutSpec:
+def _layout_spec(cfg: argparse.Namespace) -> LayoutSpec:
     return LayoutSpec(kind=cfg.layout, size_attr=cfg.size_attr, gamma=cfg.gamma, k=cfg.top_k)
 
 
-def _check_config(cfg: RunConfig) -> None:
+def _check_config(cfg: argparse.Namespace) -> None:
     """Reject out-of-range flag values before any artifact is written."""
     _layout_spec(cfg)
     if cfg.window_length < 1:
@@ -240,7 +217,7 @@ def _check_config(cfg: RunConfig) -> None:
         raise UsageError("--sw-samples must be >= 1")
 
 
-def stage_export(cfg: RunConfig, graph: CoauthorshipGraph, out: OutputDir) -> None:
+def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> None:
     """Render all four texts first, so a graph that cannot be drawn leaves no file."""
     net, clu = write_pajek(graph)
     spec = _layout_spec(cfg)
@@ -340,7 +317,8 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
     return "\n".join(lines)
 
 
-def stage_report(cfg: RunConfig, corpus: ResolvedCorpus, out: OutputDir) -> None:
+def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: OutputDir) -> None:
+    corpus = stage_ingest(cfg, registry, out)
     graph = stage_build(cfg, corpus, out)
     result = stage_metrics(cfg, graph, out)
     windows = stage_slice(cfg, corpus, out)
@@ -376,29 +354,29 @@ _HANDLERS = {
     "report": stage_report,
 }
 
-# What each stage consumes, loaded once per run: the registry, the resolved
-# corpus or the main graph.
+# What each stage consumes, read before anything is written: the side files,
+# or the corpus or graph cached in --out.
 _INPUTS = {
-    "ingest": lambda cfg, registry, out: registry,
+    "ingest": _load_side_files,
     "build": _load_corpus,
     "metrics": _load_graph,
     "slice": _load_corpus,
     "densify": _load_corpus,
     "export": _load_graph,
-    "report": stage_ingest,
+    "report": _load_side_files,
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = RunConfig(**vars(args))
+        cfg = parser.parse_args(argv)
         _check_config(cfg)
-        out = OutputDir(Path(cfg.out))
-        registry = _load_registry(cfg)
-        _echo_config(cfg, out)
-        _HANDLERS[cfg.command](cfg, _INPUTS[cfg.command](cfg, registry, out), out)
+        root = Path(cfg.out)
+        consumed = _INPUTS[cfg.command](cfg, root)
+        out = OutputDir(root)
+        out.json("config.json", vars(cfg))
+        _HANDLERS[cfg.command](cfg, consumed, out)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,7 +50,8 @@ def test_slice_lists_windows(tmp_path, capsys):
     ]
     corpus = write_jsonl(tmp_path / "span.jsonl", rows)
     out = tmp_path / "out"
-    assert run("slice", "--input", corpus, "--mode", "cumulative", "--window-length", 5, "--step", 5, "--out", out) == 0
+    assert run("ingest", "--input", corpus, "--out", out) == 0
+    assert run("slice", "--mode", "cumulative", "--window-length", 5, "--step", 5, "--out", out) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert lines == ["1986-1990", "1986-1995", "1986-2000", "1986-2005", "1986-2010", "1986-2015"]
     assert len(json.loads((out / "windows.json").read_text())) == 6
@@ -72,8 +73,60 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
 def test_missing_input_writes_nothing(tmp_path, capsys, command):
     out = tmp_path / "fresh"
     assert run(command, "--out", out) == 1
-    assert "--input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and "--input" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, cached, producer",
+    [
+        ("build", "records.jsonl", "ingest"),
+        ("slice", "records.jsonl", "ingest"),
+        ("densify", "records.jsonl", "ingest"),
+        ("metrics", "graph.json", "build"),
+        ("export", "graph.json", "build"),
+    ],
+)
+def test_missing_cache_writes_nothing(tmp_path, capsys, command, cached, producer):
+    out = tmp_path / "fresh"
+    assert run(command, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert cached in err and f"coauthnet {producer} --out" in err
+    assert not out.exists()
+
+
+def _tree_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+# Each standalone stage reads a cache that these flags shaped, so it rejects them.
+_CACHE_SHAPING_FLAGS = [
+    (stage, flag)
+    for stages, flags in (
+        (("build", "slice", "densify"), ("--input", "--format", "--variants")),
+        (("metrics", "export"), ("--input", "--format", "--variants", "--registry")),
+    )
+    for stage in stages
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", _CACHE_SHAPING_FLAGS)
+def test_stage_rejects_flags_that_shaped_its_cache(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    assert run("build", "--out", out) == 0
+    variants = tmp_path / "variants.txt"
+    variants.write_text("fusion\n", encoding="utf-8")
+    registry = tmp_path / "registry.csv"
+    registry.write_text("code,display_name,region,historic,aliases\nZZ,Zedland,Europe,false,\n", encoding="utf-8")
+    value = {"--input": FIXTURE_CORPUS, "--format": "csv", "--variants": variants, "--registry": registry}[flag]
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert run(command, flag, value, "--out", out) == 1
+    assert flag in capsys.readouterr().err
+    assert _tree_bytes(out) == before
 
 
 def test_report_never_reuses_ingested_records(tmp_path, capsys):
@@ -215,7 +268,8 @@ def test_custom_registry(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "out"
-    assert run("build", "--input", FIXTURE_CORPUS, "--registry", registry, "--out", out) == 0
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--registry", registry, "--out", out) == 0
+    assert run("build", "--registry", registry, "--out", out) == 0
     doc = json.loads((out / "graph.json").read_text())
     assert [nd["code"] for nd in doc["nodes"]] == ["AUT", "BEL"]
     coverage = json.loads((out / "coverage.json").read_text())
@@ -226,7 +280,9 @@ def test_sw_samples_and_seed_flags(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
-        assert run("metrics", "--input", FIXTURE_CORPUS, "--sw-samples", 17, "--seed", 3, "--out", out) == 0
+        assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+        assert run("build", "--out", out) == 0
+        assert run("metrics", "--sw-samples", 17, "--seed", 3, "--out", out) == 0
     sw_a = json.loads((out_a / "smallworld.json").read_text())
     sw_b = json.loads((out_b / "smallworld.json").read_text())
     assert sw_a == sw_b
@@ -249,6 +305,7 @@ def test_non_utf8_side_file_is_data_exit(tmp_path, capsys, flag, content):
     err = capsys.readouterr().err
     assert "data error" in err and str(side) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("corpus", ["fixture", "synthetic"])
