@@ -59,9 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+class _CommandParser(_Parser):
+    # argparse hands a subcommand's leftover arguments back to the top-level
+    # parser, whose error shows the top-level usage; report them here, with
+    # the subcommand's own usage.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="coauthnet", description="Country-level coauthorship network toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, help_text in (
         ("ingest", "parse records, apply the topic filter, report coverage"),
         ("build", "build the coauthorship graph over the full corpus span"),

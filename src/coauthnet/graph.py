@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import permutations
 from pathlib import Path
 
 from .countries import REGIONS, CountryRegistry, is_country_code
@@ -103,6 +103,18 @@ class CoauthorshipGraph:
             self._adj[b][a] = w
             self._m += 1
 
+    @classmethod
+    def _trusted(cls, nodes: list[NodeAttr], adj: dict[str, dict[str, int]], window: TimeWindow):
+        """A graph from nodes sorted by code and a symmetric adjacency with
+        positive int weights over those nodes, taken as given: the rows are
+        copied, nothing is sorted or checked. Only ResolvedCorpus calls it."""
+        g = cls.__new__(cls)
+        g.window = window
+        g._nodes = {attr.code: attr for attr in nodes}
+        g._adj = {attr.code: dict(adj.get(attr.code, ())) for attr in nodes}
+        g._m = sum(map(len, g._adj.values())) // 2
+        return g
+
     @property
     def n(self) -> int:
         return len(self._nodes)
@@ -128,6 +140,10 @@ class CoauthorshipGraph:
 
     def neighbors(self, code: str) -> list[str]:
         return sorted(self._adj[code])
+
+    def neighbor_set(self, code: str):
+        """The neighbours of `code` in no particular order (a read-only view)."""
+        return self._adj[code].keys()
 
     def has_edge(self, a: str, b: str) -> bool:
         return b in self._adj.get(a, ())
@@ -214,14 +230,31 @@ def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> Coa
     return CoauthorshipGraph(attrs, norm, window or TimeWindow(0, 0))
 
 
+def _add(totals: dict, delta: dict, sign: int) -> None:
+    """totals += sign * delta, key by key; a key whose total reaches 0 is deleted."""
+    for key, value in delta.items():
+        total = totals.get(key, 0) + sign * value
+        if total:
+            totals[key] = total
+        else:
+            del totals[key]
+
+
 class ResolvedCorpus:
     """A record set resolved against a registry once and bucketed by year.
 
     Each distinct raw name is resolved once. The corpus keeps every
     country's first year over the whole corpus (so grouping by entry year is
     stable across windows), the per-occurrence tally of names the registry
-    cannot resolve, and per-year paper counts and pair weights. The graph of
-    any window is the sum of the year buckets it contains.
+    cannot resolve, and per-year paper counts and adjacency (code ->
+    {neighbour: weight}, both directions).
+
+    A window's graph is the sum of the year buckets it contains. A sequence
+    of windows is stepped, not re-summed: running totals subtract the years
+    that leave the previous window and add the years that enter, deleting
+    any count or weight that reaches 0, and a window that shares no year
+    with the previous one starts from empty. Counts and weights are ints,
+    so the totals are exact whatever the order of the steps.
     """
 
     def __init__(self, rs: RecordSet, registry: CountryRegistry):
@@ -229,7 +262,7 @@ class ResolvedCorpus:
         self.registry = registry
         self.first_year: dict[str, int] = {}
         self.unknown: dict[str, int] = {}
-        self._years: dict[int, tuple[dict[str, int], dict[tuple[str, str], int]]] = {}
+        self._years: dict[int, tuple[dict[str, int], dict[str, dict[str, int]]]] = {}
         resolved: dict[str, str | None] = {}
         for record in rs.records:
             found = set()
@@ -241,61 +274,73 @@ class ResolvedCorpus:
                     self.unknown[raw] = self.unknown.get(raw, 0) + 1
                 else:
                     found.add(resolved[raw])
-            counts, weights = self._years.setdefault(record.year, ({}, {}))
-            codes = sorted(found)
-            for code in codes:
+            counts, adj = self._years.setdefault(record.year, ({}, {}))
+            for code in found:
                 counts[code] = counts.get(code, 0) + 1
                 if code not in self.first_year or record.year < self.first_year[code]:
                     self.first_year[code] = record.year
-            for pair in combinations(codes, 2):
-                weights[pair] = weights.get(pair, 0) + 1
+            for a, b in permutations(found, 2):
+                row = adj.setdefault(a, {})
+                row[b] = row.get(b, 0) + 1
 
     @cached_property
     def coverage(self) -> CoverageStats:
         """Affiliation coverage of the records, with the tally of unresolved names."""
         return coverage_stats(self.rs, self.unknown)
 
-    def _buckets(self, window: TimeWindow):
-        """The (paper counts, pair weights) buckets of the years inside the window."""
-        return [bucket for year, bucket in self._years.items() if window.contains(year)]
+    def _totals(self, windows):
+        """Yield (window, paper counts, adjacency) per window, each stepped
+        from the previous window's totals, which it updates in place."""
+        counts: dict[str, int] = {}
+        adj: dict[str, dict[str, int]] = {}
+        prev: set[int] = set()
+        for window in windows:
+            years = {year for year in self._years if window.contains(year)}
+            if not years & prev:
+                counts, adj, prev = {}, {}, set()
+            for sign, step in ((-1, prev - years), (1, years - prev)):
+                for year in step:
+                    year_counts, year_adj = self._years[year]
+                    _add(counts, year_counts, sign)
+                    for code, delta in year_adj.items():
+                        row = adj.setdefault(code, {})
+                        _add(row, delta, sign)
+                        if not row:
+                            del adj[code]
+            prev = years
+            yield window, counts, adj
 
-    def size(self, window: TimeWindow) -> tuple[int, int]:
-        """(n, m) of the window's graph, counted without building it."""
-        nodes: set[str] = set()
-        links: set[tuple[str, str]] = set()
-        for counts, pairs in self._buckets(window):
-            nodes.update(counts)
-            links.update(pairs)
-        return len(nodes), len(links)
-
-    def graph(self, window: TimeWindow | None = None) -> CoauthorshipGraph:
-        """The coauthorship graph of the records inside the window.
+    def graphs(self, windows):
+        """Yield the coauthorship graph of each window, in the given order.
 
         Every in-window record contributes +1 to the paper count of each
         distinct resolved country it lists, and +1 weight to every pair among
-        them; unresolvable names are dropped. The default window covers the
-        whole corpus.
+        them; unresolvable names are dropped.
         """
-        if window is None:
-            window = TimeWindow.covering(self.rs)
-        paper_count: dict[str, int] = {}
-        weights: dict[tuple[str, str], int] = {}
-        for counts, pairs in self._buckets(window):
-            for code, count in counts.items():
-                paper_count[code] = paper_count.get(code, 0) + count
-            for pair, w in pairs.items():
-                weights[pair] = weights.get(pair, 0) + w
-        nodes = [
-            NodeAttr(
-                code=code,
-                paper_count=count,
-                first_year=self.first_year[code],
-                region=self.registry.get(code).region,
-            )
-            for code, count in paper_count.items()
-        ]
-        edges = [(a, b, w) for (a, b), w in weights.items()]
-        return CoauthorshipGraph(nodes, edges, window)
+        for window, counts, adj in self._totals(windows):
+            nodes = [
+                NodeAttr(
+                    code=code,
+                    paper_count=counts[code],
+                    first_year=self.first_year[code],
+                    region=self.registry.get(code).region,
+                )
+                for code in sorted(counts)
+            ]
+            yield CoauthorshipGraph._trusted(nodes, adj, window)
+
+    def sizes(self, windows):
+        """Yield (n, m) of each window's graph, counted without building it."""
+        for _, counts, adj in self._totals(windows):
+            yield len(counts), sum(map(len, adj.values())) // 2
+
+    def graph(self, window: TimeWindow | None = None) -> CoauthorshipGraph:
+        """The graph of one window (see graphs); the default window covers the whole corpus."""
+        return next(self.graphs([window or TimeWindow.covering(self.rs)]))
+
+    def size(self, window: TimeWindow) -> tuple[int, int]:
+        """(n, m) of one window's graph (see sizes)."""
+        return next(self.sizes([window]))
 
 
 def build_network(

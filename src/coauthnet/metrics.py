@@ -145,15 +145,19 @@ class _Geodesics:
 
 
 def _geodesics(g: CoauthorshipGraph) -> _Geodesics:
-    """The kernel result of g, computed on first use and kept on the (immutable) graph."""
+    """The kernel result of g, computed on first use and kept on the (immutable) graph.
+
+    The boolean adjacency matrix is filled by one store at the flat indices
+    i * n + j of every node i's neighbours j, read in no particular order.
+    """
     geo = vars(g).get("_geodesics")
     if geo is None:
         codes = g.codes()
+        n = len(codes)
         index = {code: i for i, code in enumerate(codes)}
-        adj = np.zeros((len(codes), len(codes)), dtype=bool)
-        for a, b, _ in g.edges():
-            adj[index[a], index[b]] = adj[index[b], index[a]] = True
-        geo = g._geodesics = _Geodesics(adj)
+        adj = np.zeros(n * n, dtype=bool)
+        adj[[i * n + index[b] for i, a in enumerate(codes) for b in g.neighbor_set(a)]] = True
+        geo = g._geodesics = _Geodesics(adj.reshape(n, n))
     return geo
 
 

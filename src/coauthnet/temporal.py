@@ -84,18 +84,19 @@ def metric_series(
     windows: list[TimeWindow],
     clustering_mode: str = DEFAULT_CLUSTERING_MODE,
 ) -> WindowSeries:
-    """Build one graph per window and keep its SUMMARY_SELECTORS values.
+    """Step one graph per window, in end-year order, and keep its SUMMARY_SELECTORS values.
 
-    Only the row is kept, so each window's graph and summary are freed
-    before the next window is built.
+    Each window's graph is stepped from the previous one
+    (ResolvedCorpus.graphs). Only the row is kept, so each window's graph
+    and summary are freed before the next window is built.
     """
     ordered = sorted(windows, key=lambda w: (w.end_year, w.start_year))
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.end_year == prev.end_year:
             raise UsageError("windows must have strictly increasing end years")
     rows = []
-    for window in ordered:
-        s = summary(corpus.graph(window), clustering_mode)
+    for g in corpus.graphs(ordered):
+        s = summary(g, clustering_mode)
         rows.append(tuple(getattr(s, c) for c in SUMMARY_SELECTORS))
     return WindowSeries(windows=ordered, rows=rows)
 
@@ -165,7 +166,7 @@ def densification_snapshots(
 ) -> tuple[list[TimeWindow], list[tuple[int, int]]]:
     """(n, m) pairs for cumulative windows of the given growth length."""
     windows = slice_windows(corpus.rs, length, length, "cumulative")
-    return windows, [corpus.size(w) for w in windows]
+    return windows, list(corpus.sizes(windows))
 
 
 def first_year_series(corpus: ResolvedCorpus) -> tuple[dict[str, int], dict[str, dict[int, int]]]:

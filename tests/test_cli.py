@@ -64,6 +64,16 @@ def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_unknown_flag_shows_the_subcommand_usage(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("build", "--input", "x", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --input x" in err
+    assert "usage: coauthnet build" in err and "--registry" in err
+    assert "{ingest," not in err
+    assert not out.exists()
+
+
 def test_missing_input_is_usage_error(tmp_path, capsys):
     assert run("ingest", "--out", tmp_path / "out") == 1
     assert "error" in capsys.readouterr().err

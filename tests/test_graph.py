@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coauthnet import (
     CoauthorshipGraph,
@@ -17,6 +19,7 @@ from coauthnet import (
     parse_records,
     slice_windows,
 )
+from coauthnet.ingest import PublicationRecord, RecordSet
 from coauthnet.temporal import densification_snapshots
 
 from bruteforce import oracle_edge_weights
@@ -216,6 +219,55 @@ def test_window_size_matches_built_graph(tmp_path, registry):
         assert corpus.size(window) == (g.n, g.m), window
     snapshots = densification_snapshots(corpus, 2)
     assert snapshots[1] == [(g.n, g.m) for g in map(corpus.graph, snapshots[0])]
+
+
+_STEP_NAMES = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Atlantis"]
+
+
+@st.composite
+def increasing_windows(draw):
+    """Windows over 1995-2014 (the records span 2000-2009) with strictly
+    increasing end years, lengths 1-7: gaps, overlaps and windows outside the
+    corpus span all occur."""
+    ends = sorted(draw(st.sets(st.integers(1995, 2014), max_size=8)))
+    return [TimeWindow(end - draw(st.integers(0, 6)), end) for end in ends]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(2000, 2009), st.lists(st.sampled_from(_STEP_NAMES), max_size=4)), max_size=30),
+    windows=increasing_windows(),
+)
+# Egypt publishes only in 2000: the second window, which keeps 2001, steps
+# Egypt's count and its link to France down to 0.
+@example(
+    rows=[(2000, ["Egypt", "France"]), (2001, ["France", "Japan"]), (2003, ["Japan"])],
+    windows=[TimeWindow(2000, 2001), TimeWindow(2001, 2003)],
+)
+def test_stepped_windows_match_recount(registry, rows, windows):
+    records = [PublicationRecord(id=f"r{i:03d}", year=year, raw_countries=names) for i, (year, names) in enumerate(rows)]
+    rs = RecordSet(sorted(records, key=lambda r: (r.year, r.id)))
+    corpus = ResolvedCorpus(rs, registry)
+    resolved = [(r.year, [e.code for e in map(registry.resolve, r.raw_countries) if e]) for r in rs.records]
+    first_year = {}
+    for year, codes in resolved:
+        for code in codes:
+            first_year[code] = min(first_year.get(code, year), year)
+
+    graphs = list(corpus.graphs(windows))
+    assert [g.window for g in graphs] == windows
+    assert list(corpus.sizes(windows)) == [(g.n, g.m) for g in graphs]
+    for window, g in zip(windows, graphs):
+        in_window = [(year, codes) for year, codes in resolved if window.contains(year)]
+        assert {(a, b): w for a, b, w in g.edges()} == oracle_edge_weights(in_window), window
+        paper_count = {}
+        for _, codes in in_window:
+            for code in set(codes):
+                paper_count[code] = paper_count.get(code, 0) + 1
+        assert {c: g.node(c).paper_count for c in g.codes()} == paper_count, window
+        assert {c: g.node(c).first_year for c in g.codes()} == {c: first_year[c] for c in paper_count}, window
+        rebuilt = CoauthorshipGraph.from_dict(g.to_dict())
+        assert g == rebuilt and g.m == rebuilt.m and g.degrees() == rebuilt.degrees(), window
 
 
 def test_induced_subgraph():

@@ -3,11 +3,13 @@ import random
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coauthnet import (
+    ResolvedCorpus,
     UsageError,
     betweenness,
     build_network,
@@ -20,11 +22,12 @@ from coauthnet import (
     is_clique,
     parse_records,
     path_stats,
+    slice_windows,
     small_world,
     summary,
     top_k_by_degree,
 )
-from coauthnet.metrics import giant_component_codes, random_edge_set
+from coauthnet.metrics import _geodesics, giant_component_codes, random_edge_set
 
 from bruteforce import (
     oracle_betweenness,
@@ -237,6 +240,19 @@ def test_betweenness_equals_loop_on_criterion_9_graph(tmp_path, registry):
     g = build_network(parse_records(write_jsonl(tmp_path / "big.jsonl", rows)), registry)
     assert (g.n, g.m) == (100, 2453)
     assert betweenness(g) == loop_betweenness(g)
+
+
+def test_kernel_adjacency_of_stepped_graphs_matches_edge_list(tmp_path, registry):
+    names = [registry.get(code).display_name for code in registry.codes()[:30]]
+    rs = parse_records(write_jsonl(tmp_path / "c.jsonl", synthetic_corpus_rows(random.Random(8), 600, names)))
+    corpus = ResolvedCorpus(rs, registry)
+    windows = slice_windows(rs, 3, 5, "sliding") + slice_windows(rs, 5, 3, "sliding")
+    for g in corpus.graphs(sorted(windows, key=lambda w: w.start_year)):
+        index = {code: i for i, code in enumerate(g.codes())}
+        expected = np.zeros((g.n, g.n), dtype=bool)
+        for a, b, _ in g.edges():
+            expected[index[a], index[b]] = expected[index[b], index[a]] = True
+        assert np.array_equal(_geodesics(g).dist == 1, expected), g.window
 
 
 def test_betweenness_counts_2_pow_40_geodesics_exactly():

@@ -19,7 +19,7 @@ from coauthnet import (
 )
 from coauthnet.temporal import SUMMARY_SELECTORS, UNCLASSIFIED_SUBJECT, densification_snapshots
 
-from conftest import densifying_corpus_rows, densifying_registry_csv, write_jsonl
+from conftest import densifying_corpus_rows, densifying_registry_csv, synthetic_corpus_rows, write_jsonl
 
 
 def _corpus(tmp_path, rows, name="corpus.jsonl"):
@@ -145,6 +145,24 @@ def test_metric_series_summary_objects(tmp_path, registry):
         s = summary(corpus.graph(window))
         assert list(row) == [getattr(s, c) for c in SUMMARY_SELECTORS]
     assert series.rows[0][SUMMARY_SELECTORS.index("n")] == 1
+
+
+@pytest.mark.parametrize("length, step", [(3, 5), (5, 3)])
+def test_stepped_series_equals_per_window_summaries(tmp_path, registry, length, step):
+    rng = random.Random(length * 10 + step)
+    names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada", "Atlantis"]
+    rs = _corpus(tmp_path, synthetic_corpus_rows(rng, 300, names))
+    corpus = ResolvedCorpus(rs, registry)
+    windows = slice_windows(rs, length, step, "sliding")
+    shuffled = rng.sample(windows, len(windows))
+    assert shuffled != windows
+    series = metric_series(corpus, shuffled)
+    assert series.windows == windows
+    expected = []
+    for window in windows:
+        s = summary(corpus.graph(window))
+        expected.append(tuple(getattr(s, c) for c in SUMMARY_SELECTORS))
+    assert series.rows == expected
 
 
 def test_sliding_windows_ignore_outside_records(tmp_path, registry):
