@@ -226,6 +226,8 @@ def _check_config(cfg: argparse.Namespace) -> None:
         raise UsageError("window step must be >= 1")
     if cfg.sw_samples < 1:
         raise UsageError("--sw-samples must be >= 1")
+    if cfg.seed < 0:
+        raise UsageError("--seed must be >= 0")
 
 
 def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> None:

@@ -8,8 +8,9 @@ of the graph, in ascending code order, expanded level by level into
 all-pairs hop distances (`next = (frontier . A > 0) & ~reach`, one product
 per BFS level for all sources at once), with per-node triangle counts
 diag(A.A.A)/2 read off the first product. Country graphs have at most a few
-hundred nodes, so the matrices always fit. The small-world comparison feeds
-each random sample's index pairs straight into the same kernel.
+hundred nodes, so the matrices always fit. The small-world comparison draws
+each random sample as upper-triangle ranks (the m smallest of one 64-bit key
+per rank) and stores them straight into the same kernel's matrix.
 
 The kernel keeps the bytes of every result:
 - path lengths and triangle counts accumulate as exact integers, and each
@@ -349,19 +350,29 @@ def top_k_by_degree(g: CoauthorshipGraph, k: int) -> list[str]:
     return ranked[:k]
 
 
-def random_edge_set(n: int, m: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Uniformly sample m distinct unordered pairs out of n labelled nodes."""
+def random_edge_set(n: int, m: int, rng: random.Random) -> np.ndarray:
+    """Uniformly sample m distinct unordered pairs out of n labelled nodes.
+
+    The pairs (i, j), i < j, are numbered by rank in row-major order: row i
+    holds (i, i+1..n-1). One `rng.getrandbits` call draws a 64-bit key per
+    rank, in rank order, so every call consumes the same bits whatever m is.
+    The result is the int64 ranks of the m smallest keys, in ascending rank
+    order; keys that tie go to the lower rank. The m smallest of i.i.d.
+    uniform keys are a uniform m-subset. The tie rule biases it only when two
+    keys collide, which has probability below total^2 / 2^65 (about 7e-13 at
+    n = 100).
+    """
     total = n * (n - 1) // 2
     if m > total:
         raise UsageError(f"cannot place {m} edges on {n} nodes (max {total})")
-    idx = np.array(sorted(rng.sample(range(total), m)), dtype=np.int64)
-    # Unrank idx into (i, j), i < j: row i holds the n - 1 - i pairs (i, i+1..n-1)
-    # and starts at index i * (2n - i - 1) / 2.
-    rows = np.arange(n, dtype=np.int64)
-    starts = rows * (2 * n - rows - 1) // 2
-    i = np.searchsorted(starts, idx, side="right") - 1
-    j = i + 1 + idx - starts[i]
-    return list(zip(i.tolist(), j.tolist()))
+    keys = np.frombuffer(rng.getrandbits(64 * total).to_bytes(8 * total, "little"), dtype="<u8")
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    # Select by value, so the result does not depend on partition's algorithm.
+    kth = np.partition(keys, m - 1)[m - 1]
+    chosen = keys < kth
+    chosen[np.flatnonzero(keys == kth)[: m - np.count_nonzero(chosen)]] = True
+    return np.flatnonzero(chosen).astype(np.int64, copy=False)
 
 
 @dataclass
@@ -397,24 +408,32 @@ def small_world(
     Draws `samples` graphs uniformly from the fixed-n, fixed-m ensemble (no
     self-loops, no multi-edges), computes mean path length and average
     clustering on the giant component of each, and reports
-    sigma = (C / <C_rand>) / (L / <L_rand>). Fully reproducible from the
-    seed. sigma is inf when the baseline clustering averages to zero while
+    sigma = (C / <C_rand>) / (L / <L_rand>). Each sample is the keyed draw
+    of `random_edge_set` from one `random.Random(seed)`: its ranks go
+    through a rank -> flat position table, built once per call, into one
+    store in a zero n x n matrix, which is then symmetrised. Fully
+    reproducible from the seed, which must be >= 0 (CPython seeds -s like
+    s). sigma is inf when the baseline clustering averages to zero while
     the graph's does not, and nan when both vanish.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     if components(g).giant_size < 3:
         raise UsageError("giant component must have at least 3 nodes")
     l_actual, c_actual = _giant_metrics(_geodesics(g), clustering_mode)
 
     n, m = g.n, g.m
     rng = random.Random(seed)
+    flat = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
     l_sum = 0.0
     c_sum = 0.0
     for _ in range(samples):
-        adj = np.zeros((n, n), dtype=bool)
-        i, j = np.array(random_edge_set(n, m, rng), dtype=np.int64).T
-        adj[i, j] = adj[j, i] = True
+        adj = np.zeros(n * n, dtype=bool)
+        adj[flat[random_edge_set(n, m, rng)]] = True
+        adj = adj.reshape(n, n)
+        adj |= adj.T
         l_value, c_value = _giant_metrics(_Geodesics(adj), clustering_mode)
         l_sum += l_value
         c_sum += c_value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,12 @@ def random_edges(rng: random.Random, n: int, p: float, labels=None):
             if rng.random() < p:
                 edges.append((labels[i], labels[j]))
     return labels, edges
+
+
+def rank_pairs(n: int, ranks) -> list[tuple[int, int]]:
+    """The (i, j) pairs, i < j, of upper-triangle ranks of n nodes, numbered in row-major order."""
+    pairs = list(combinations(range(n), 2))
+    return [pairs[r] for r in ranks.tolist()]
 
 
 def random_graph(rng: random.Random, n: int, p: float):

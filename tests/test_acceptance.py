@@ -38,6 +38,7 @@ from conftest import (
     densifying_corpus_rows,
     densifying_registry_csv,
     random_edges,
+    rank_pairs,
     synthetic_corpus_rows,
     write_jsonl,
 )
@@ -87,7 +88,7 @@ def test_criterion_2_summary_arithmetic_identities():
     t0 = time.monotonic()
     rng = random.Random(2)
     labels = [f"C{i:03d}" for i in range(97)]
-    edges = [(labels[i], labels[j]) for i, j in random_edge_set(97, 761, rng)]
+    edges = [(labels[i], labels[j]) for i, j in rank_pairs(97, random_edge_set(97, 761, rng))]
     stats = basic_stats(graph_from_edges(edges, nodes=labels))
     assert round(stats.density, 2) == 0.16
     assert round(stats.mean_degree, 1) == 15.7
@@ -235,7 +236,7 @@ def test_criterion_8_small_world_sanity():
     # a draw from the baseline ensemble itself should sit near sigma = 1
     draw_rng = random.Random(0)
     labels = [f"E{i:02d}" for i in range(20)]
-    drawn_edges = [(labels[i], labels[j]) for i, j in random_edge_set(20, 60, draw_rng)]
+    drawn_edges = [(labels[i], labels[j]) for i, j in rank_pairs(20, random_edge_set(20, 60, draw_rng))]
     drawn = graph_from_edges(drawn_edges, nodes=labels)
     sigma = small_world(drawn, samples=200, seed=0).sigma
     assert 0.7 <= sigma <= 1.3, sigma

@@ -36,7 +36,7 @@ from bruteforce import (
     oracle_components,
     oracle_path_stats,
 )
-from conftest import random_edges, random_graph, synthetic_corpus_rows, write_jsonl
+from conftest import random_edges, random_graph, rank_pairs, synthetic_corpus_rows, write_jsonl
 
 
 def k_graph(n):
@@ -234,11 +234,16 @@ def test_betweenness_below_three_nodes_equals_loop(edges, nodes):
     assert betweenness(g) == loop_betweenness(g) == {c: 0.0 for c in g.codes()}
 
 
-def test_betweenness_equals_loop_on_criterion_9_graph(tmp_path, registry):
+def criterion_9_graph(tmp_path, registry):
     names = [registry.get(code).display_name for code in registry.codes()[:100]]
     rows = synthetic_corpus_rows(random.Random(0), 10000, names)
     g = build_network(parse_records(write_jsonl(tmp_path / "big.jsonl", rows)), registry)
     assert (g.n, g.m) == (100, 2453)
+    return g
+
+
+def test_betweenness_equals_loop_on_criterion_9_graph(tmp_path, registry):
+    g = criterion_9_graph(tmp_path, registry)
     assert betweenness(g) == loop_betweenness(g)
 
 
@@ -454,12 +459,24 @@ def test_small_world_preconditions():
         small_world(k_graph(10), samples=0, seed=0)
     with pytest.raises(UsageError):
         small_world(graph_from_edges([("A", "B")]), samples=10, seed=0)
+    # random.Random(-5) draws exactly what random.Random(5) draws.
+    with pytest.raises(UsageError, match="seed"):
+        small_world(k_graph(10), samples=5, seed=-5)
+
+
+def test_small_world_baseline_on_criterion_9_graph(tmp_path, registry):
+    # The random baseline of the rng.sample draw this sampler replaced was
+    # C 0.4957952, L 1.5044444, sigma 1.38; the keyed draw must stay near it.
+    report = small_world(criterion_9_graph(tmp_path, registry), samples=100, seed=0)
+    assert abs(report.c_random_mean - 0.4957952) <= 0.002
+    assert abs(report.l_random_mean - 1.5044444) <= 0.002
+    assert round(report.sigma, 2) == 1.38
 
 
 def test_random_edge_set_properties():
     rng = random.Random(0)
     for n, m in ((5, 10), (10, 45), (8, 1), (6, 0)):
-        pairs = random_edge_set(n, m, rng)
+        pairs = rank_pairs(n, random_edge_set(n, m, rng))
         assert len(pairs) == m
         assert len(set(pairs)) == m
         for i, j in pairs:
@@ -470,24 +487,23 @@ def test_random_edge_set_properties():
 
 def test_random_edge_set_covers_all_pairs():
     rng = random.Random(1)
-    assert sorted(random_edge_set(5, 10, rng)) == list(combinations(range(5), 2))
+    assert sorted(rank_pairs(5, random_edge_set(5, 10, rng))) == list(combinations(range(5), 2))
 
 
 def loop_random_edge_set(n, m, rng):
-    """Reference: the O(n)-per-pair loop random_edge_set unranked with before
-    its closed form."""
+    """Reference: the keyed draw in pure Python.
+
+    Key r is bits 64r..64r+63 of one getrandbits(64 * total) call (sliced in
+    blocks of 256 keys, so slicing stays linear); ranks sort by (key, rank)
+    and the first m are returned in ascending rank order.
+    """
     total = n * (n - 1) // 2
-    pairs = []
-    for idx in sorted(rng.sample(range(total), m)):
-        offset = idx
-        i = 0
-        row = n - 1
-        while offset >= row:
-            offset -= row
-            i += 1
-            row -= 1
-        pairs.append((i, i + 1 + offset))
-    return pairs
+    bits = rng.getrandbits(64 * total)
+    keys = []
+    for start in range(0, total, 256):
+        block = bits >> 64 * start & (2 ** (64 * 256) - 1)
+        keys += [block >> 64 * r & (2**64 - 1) for r in range(min(256, total - start))]
+    return sorted(sorted(range(total), key=lambda r: (keys[r], r))[:m])
 
 
 @settings(max_examples=30, deadline=None)
@@ -496,17 +512,41 @@ def test_random_edge_set_matches_loop_unranking(data):
     n = data.draw(st.integers(0, 300), label="n")
     m = data.draw(st.integers(0, n * (n - 1) // 2), label="m")
     seed = data.draw(st.integers(0, 2**64), label="seed")
-    pairs = random_edge_set(n, m, random.Random(seed))
-    assert pairs == loop_random_edge_set(n, m, random.Random(seed))
-    assert all(type(i) is int and type(j) is int for i, j in pairs)
+    ranks = random_edge_set(n, m, random.Random(seed))
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == loop_random_edge_set(n, m, random.Random(seed))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64])
 def test_random_edge_set_unranks_every_index(n):
     total = n * (n - 1) // 2
-    pairs = random_edge_set(n, total, random.Random(0))
-    assert pairs == loop_random_edge_set(n, total, random.Random(0))
-    assert pairs == list(combinations(range(n), 2))
+    ranks = random_edge_set(n, total, random.Random(0))
+    assert ranks.tolist() == loop_random_edge_set(n, total, random.Random(0)) == list(range(total))
+    assert rank_pairs(n, ranks) == list(combinations(range(n), 2))
+
+
+class _ZeroBits:
+    """An rng whose every key is 0, so every rank ties."""
+
+    def getrandbits(self, k):
+        return 0
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (6, 0), (6, 4), (6, 15), (30, 200)])
+def test_random_edge_set_ties_go_to_the_lower_rank(n, m):
+    assert random_edge_set(n, m, _ZeroBits()).tolist() == list(range(m))
+
+
+def test_random_edge_set_is_uniform_on_k5():
+    # 6,000 seeded draws of 3 of K5's 10 pairs: 120 subsets, 50 expected
+    # each. 172.5 is the chi-square 0.999 quantile at 119 degrees of freedom.
+    rng = random.Random(0)
+    counts = {}
+    for _ in range(6000):
+        subset = tuple(random_edge_set(5, 3, rng).tolist())
+        counts[subset] = counts.get(subset, 0) + 1
+    assert sorted(counts) == list(combinations(range(10), 3))
+    assert sum((c - 50) ** 2 / 50 for c in counts.values()) < 172.5
 
 
 def test_giant_component_codes():

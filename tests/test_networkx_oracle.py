@@ -11,7 +11,7 @@ import pytest
 from coauthnet import betweenness, closeness, clustering, components, graph_from_edges, path_stats, small_world
 from coauthnet.metrics import giant_component_codes, random_edge_set
 
-from conftest import random_edges
+from conftest import random_edges, rank_pairs
 
 nx = pytest.importorskip("networkx")
 
@@ -115,7 +115,7 @@ def test_small_world_sample_giant_matches_networkx(mode, seed):
     g = graph_from_edges(edges, nodes=labels)
     report = small_world(g, samples=1, seed=seed, clustering_mode=mode)
 
-    sample = to_nx(range(g.n), random_edge_set(g.n, g.m, random.Random(seed)))
+    sample = to_nx(range(g.n), rank_pairs(g.n, random_edge_set(g.n, g.m, random.Random(seed))))
     assert nx.number_connected_components(sample) > 1
     giant = max(nx.connected_components(sample), key=lambda comp: (len(comp), -min(comp)))
     sub = sample.subgraph(giant)

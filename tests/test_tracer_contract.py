@@ -12,7 +12,7 @@ import inspect
 import runpy
 from pathlib import Path
 
-from coauthnet import RecordSet
+from coauthnet import RecordSet, graph_from_edges, metrics
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
 
@@ -40,3 +40,19 @@ def test_counters_bind_existing_parameters():
         assert parameter in inspect.signature(_resolve(*spans[span])).parameters, span
     # parse_records and build_network counters read RecordSet.records
     assert "records" in {f.name for f in dataclasses.fields(RecordSet)}
+
+
+def test_small_world_draws_through_random_edge_set_once_per_sample(monkeypatch):
+    # The tracer's metrics.random_edge_set_calls must equal --sw-samples, and
+    # metrics.random_edge_set_s can read 0 only if small_world stops calling it.
+    calls = []
+    draw = metrics.random_edge_set
+
+    def counted(n, m, rng):
+        calls.append((n, m))
+        return draw(n, m, rng)
+
+    monkeypatch.setattr(metrics, "random_edge_set", counted)
+    ring = graph_from_edges([(f"R{i:02d}", f"R{(i + 1) % 12:02d}") for i in range(12)])
+    metrics.small_world(ring, 7, 3)
+    assert calls == [(12, 12)] * 7
