@@ -1,16 +1,16 @@
 """Command-line front end: ingest -> build -> metrics -> slice/densify ->
 export, plus a combined `report` run.
 
-Every stage writes its artifacts into the output directory and receives
-what it consumes: the registry (ingest, report), the resolved corpus (build,
-slice, densify) or the main graph (metrics, export). Standalone stages read
-that input back from the output directory (records.jsonl, graph.json) and
-take no flag that shaped it, so each step can be re-executed in isolation
-and never reads a cache another configuration wrote. `report` ingests its
-input, resolves the corpus once and hands the corpus and graph to the other
-stages in memory; it writes the same bytes as the standalone stages in
-sequence. The flags of the command are echoed to config.json; together with
-the input file they fully determine every artifact byte `report` writes.
+STAGES names each stage in pipeline order: what it reads (the side files,
+or records.jsonl or graph.json from --out), what it writes and the flags it
+uses; the parser, input loading, `report`'s stage order, invalidation and
+config.json all read it. A standalone stage takes no flag that shaped its
+cached input. Before writing, a stage deletes its own artifacts and those
+of every stage downstream of it, report.md included. config.json holds
+{stage: {flag: value}}: a stage rewrites its own section and drops those
+downstream of it. `report` hands the corpus and graph to the stages in
+memory and writes the same bytes as the stages run in sequence, config.json
+included. Each artifact is written to a temporary name, then renamed.
 """
 
 from __future__ import annotations
@@ -18,39 +18,83 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 from .countries import REGIONS, CountryRegistry, builtin_registry
 from .errors import DataError, UsageError
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
-from .ingest import (
-    DEFAULT_TOPIC_VARIANTS,
-    filter_topic,
-    load_variants,
-    parse_records,
-    write_records_jsonl,
+from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
+from .metrics import CLUSTERING_MODES, centrality_table, degree_distribution, histogram_rows, is_clique
+from .metrics import small_world, summary, top_k_by_degree
+from .temporal import WINDOW_MODES, densification_fit, densification_snapshots, discipline_series
+from .temporal import first_year_series, metric_series, slice_windows
+
+
+class Stage(NamedTuple):
+    name: str
+    help: str
+    reads: str  # "side files", or an artifact of the stage upstream
+    writes: tuple[str, ...]
+    flags: tuple[str, ...]  # what config.json echoes in the stage's section
+
+
+STAGES = (
+    Stage("ingest", "parse records, apply the topic filter, report coverage", "side files",
+          ("records.jsonl", "coverage.json"), ("input", "format", "variants", "resolved_variants", "registry")),
+    Stage("build", "build the coauthorship graph over the full corpus span", "records.jsonl",
+          ("graph.json",), ("registry",)),
+    Stage("metrics", "summary, centralities, degree histogram, small-world report", "graph.json",
+          ("summary.json", "centrality.json", "degree_histogram.json", "smallworld.json"),
+          ("clustering_mode", "sw_samples", "seed")),
+    Stage("slice", "cut the corpus into time windows and emit per-window series", "records.jsonl",
+          ("windows.json", "series_summary.csv"), ("registry", "window_length", "step", "mode", "clustering_mode")),
+    Stage("densify", "fit the links-vs-nodes power law over cumulative snapshots", "records.jsonl",
+          ("snapshots.csv", "densification.json"), ("registry", "window_length")),
+    Stage("export", "write Pajek/DOT/SVG renderings of the graph", "graph.json",
+          ("network.net", "network.clu", "network.dot", "network.svg"), ("layout", "size_attr", "gamma", "top_k")),
 )
-from .metrics import (
-    CLUSTERING_MODES,
-    centrality_table,
-    degree_distribution,
-    histogram_rows,
-    is_clique,
-    small_world,
-    summary,
-    top_k_by_degree,
-)
-from .temporal import (
-    WINDOW_MODES,
-    densification_fit,
-    densification_snapshots,
-    discipline_series,
-    first_year_series,
-    metric_series,
-    slice_windows,
-)
+
+# What only `report` writes: it reads every stage's output, so every stage invalidates it.
+_REPORT_WRITES = ("first_years.json", "regions_cumulative.csv", "regions_cumulative.svg", "disciplines.csv",
+                  "disciplines.svg", "report.md")
+
+# Every flag but --out, by dest, in usage order.
+_FLAGS = {
+    "input": {"required": True, "help": "record file (JSONL or CSV)"},
+    "format": {"choices": ("jsonl", "csv"), "default": "jsonl"},
+    "variants": {"help": "topic variants file, one term per line (default: built-in list)"},
+    "registry": {"help": "country registry CSV (default: built-in registry)"},
+    "window_length": {"type": int, "default": 5},
+    "step": {"type": int, "default": 5},
+    "mode": {"choices": WINDOW_MODES, "default": "sliding"},
+    "clustering_mode": {"choices": CLUSTERING_MODES, "default": "exclude_low_degree"},
+    "sw_samples": {"type": int, "default": 100},
+    "seed": {"type": int, "default": 0},
+    "layout": {"choices": LAYOUT_KINDS, "default": "circular"},
+    "size_attr": {"choices": SIZE_ATTRS, "default": "paper_count"},
+    "gamma": {"type": float, "default": 0.5},
+    "top_k": {"type": int, "default": 10},
+}
+
+
+def _upstream(stage: Stage) -> list[Stage]:
+    """The stages whose artifacts shaped `stage`'s input, nearest first."""
+    producers = [s for s in STAGES if stage.reads in s.writes]
+    return [*producers, *(u for p in producers for u in _upstream(p))]
+
+
+def _downstream(command: str) -> list[Stage]:
+    """The stages `command` runs and every stage reading what they write, in pipeline order."""
+    hit: list[Stage] = []
+    for stage in STAGES:
+        if command in ("report", stage.name) or any(stage.reads in s.writes for s in hit):
+            hit.append(stage)
+    return hit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,9 +104,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _CommandParser(_Parser):
-    # argparse hands a subcommand's leftover arguments back to the top-level
-    # parser, whose error shows the top-level usage; report them here, with
-    # the subcommand's own usage.
+    # Report a subcommand's leftover arguments with its own usage; argparse
+    # hands them back to the top-level parser, which shows the top-level one.
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
@@ -73,98 +116,91 @@ class _CommandParser(_Parser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="coauthnet", description="Country-level coauthorship network toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, help_text in (
-        ("ingest", "parse records, apply the topic filter, report coverage"),
-        ("build", "build the coauthorship graph over the full corpus span"),
-        ("metrics", "summary, centralities, degree histogram, small-world report"),
-        ("slice", "cut the corpus into time windows and emit per-window series"),
-        ("densify", "fit the links-vs-nodes power law over cumulative snapshots"),
-        ("export", "write Pajek/DOT/SVG renderings of the graph"),
-        ("report", "run the whole pipeline and write report.md"),
-    ):
+    commands = [(s.name, s.help, {f for u in _upstream(s) for f in u.flags} - set(s.flags)) for s in STAGES]
+    for name, help_text, shaping in [*commands, ("report", "run the whole pipeline and write report.md", set())]:
         p = sub.add_parser(name, help=help_text)
         # A standalone stage takes no flag that shaped the cached input it reads.
-        if name in ("ingest", "report"):
-            p.add_argument("--input", required=True, help="record file (JSONL or CSV)")
-            p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-            p.add_argument("--variants", help="topic variants file, one term per line (default: built-in list)")
-        if name not in ("metrics", "export"):
-            p.add_argument("--registry", help="country registry CSV (default: built-in registry)")
-        p.add_argument("--window-length", type=int, default=5, dest="window_length")
-        p.add_argument("--step", type=int, default=5)
-        p.add_argument("--mode", choices=WINDOW_MODES, default="sliding")
-        p.add_argument("--clustering-mode", choices=CLUSTERING_MODES, default="exclude_low_degree", dest="clustering_mode")
-        p.add_argument("--sw-samples", type=int, default=100, dest="sw_samples")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--layout", choices=LAYOUT_KINDS, default="circular")
-        p.add_argument("--size-attr", choices=SIZE_ATTRS, default="paper_count", dest="size_attr")
-        p.add_argument("--gamma", type=float, default=0.5)
-        p.add_argument("--top-k", type=int, default=10, dest="top_k")
+        for dest, options in _FLAGS.items():
+            if dest not in shaping:
+                p.add_argument("--" + dest.replace("_", "-"), **options)
         p.add_argument("--out", default="out")
     return parser
 
 
 class OutputDir:
-    """The output directory: every artifact is written through it, and its
-    name recorded in write order for report.md's index."""
+    """The output directory: every artifact is written through it, in the order report.md lists."""
 
     def __init__(self, root: Path):
         root.mkdir(parents=True, exist_ok=True)
         self.root = root
         self.names: list[str] = []
 
-    def path(self, name: str) -> Path:
+    @contextmanager
+    def path(self, name: str):
+        """A temporary path to write `name` to; it replaces `name` once the write returns."""
         self.names.append(name)
-        return self.root / name
+        temp = self.root / f".{name}.tmp"
+        try:
+            yield temp
+            os.replace(temp, self.root / name)
+        finally:
+            temp.unlink(missing_ok=True)
 
     def text(self, name: str, text: str) -> None:
-        self.path(name).write_text(text, encoding="utf-8")
+        with self.path(name) as path:
+            path.write_text(text, encoding="utf-8")
 
     def json(self, name: str, payload) -> None:
         self.text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_registry(cfg: argparse.Namespace) -> CountryRegistry:
-    return CountryRegistry.from_csv(cfg.registry) if cfg.registry else builtin_registry()
-
-
-def _load_side_files(cfg: argparse.Namespace, root: Path) -> CountryRegistry:
-    """The registry of ingest and report. The topic variants are read here
-    too and kept on the config, which config.json echoes."""
-    cfg.resolved_variants = load_variants(cfg.variants) if cfg.variants else DEFAULT_TOPIC_VARIANTS
-    return _load_registry(cfg)
-
-
-def _cached(root: Path, name: str, producer: str) -> Path:
+def _cached(root: Path, name: str) -> Path:
     path = root / name
     if not path.is_file():
+        producer = next(s.name for s in STAGES if name in s.writes)
         raise UsageError(f"no {name} in {root}: run `coauthnet {producer} --out {root}` first")
     return path
 
 
-def _load_corpus(cfg: argparse.Namespace, root: Path) -> ResolvedCorpus:
-    return ResolvedCorpus(parse_records(_cached(root, "records.jsonl", "ingest"), "jsonl"), _load_registry(cfg))
+def _load_input(cfg: argparse.Namespace, root: Path, reads: str):
+    """What a stage consumes, read before anything is written: the registry and topic
+    variants (config.json echoes them), or the corpus or graph cached in --out."""
+    if reads == "graph.json":
+        return CoauthorshipGraph.load(_cached(root, reads))
+    rs = parse_records(_cached(root, reads), "jsonl") if reads == "records.jsonl" else None
+    if rs is None:
+        cfg.resolved_variants = load_variants(cfg.variants) if cfg.variants else DEFAULT_TOPIC_VARIANTS
+    registry = CountryRegistry.from_csv(cfg.registry) if cfg.registry else builtin_registry()
+    return registry if rs is None else ResolvedCorpus(rs, registry)
 
 
-def _load_graph(cfg: argparse.Namespace, root: Path) -> CoauthorshipGraph:
-    return CoauthorshipGraph.load(_cached(root, "graph.json", "build"))
-
-
-# ---------------------------------------------------------------------------
-# Stages
+def _read_config(path: Path) -> dict:
+    """The stage sections of the config.json at `path`; {} if there is none."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return {}
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: {exc}") from exc
+    names = {s.name for s in STAGES}
+    if not isinstance(doc, dict) or not all(k in names and isinstance(v, dict) for k, v in doc.items()):
+        raise DataError(f"{path} does not hold one section per stage")
+    return doc
 
 
 def stage_ingest(cfg: argparse.Namespace, registry: CountryRegistry, out: OutputDir) -> ResolvedCorpus:
     parsed = parse_records(cfg.input, cfg.format)
     corpus = ResolvedCorpus(filter_topic(parsed, cfg.resolved_variants), registry)
-    write_records_jsonl(corpus.rs, out.path("records.jsonl"))
+    with out.path("records.jsonl") as path:
+        write_records_jsonl(corpus.rs, path)
     out.json("coverage.json", {"total_parsed": len(parsed), **vars(corpus.coverage)})
     return corpus
 
 
 def stage_build(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> CoauthorshipGraph:
     graph = corpus.graph()
-    graph.save(out.path("graph.json"))
+    with out.path("graph.json") as path:
+        graph.save(path)
     return graph
 
 
@@ -173,10 +209,7 @@ def _smallworld_doc(graph: CoauthorshipGraph, cfg: argparse.Namespace) -> dict:
         report = small_world(graph, cfg.sw_samples, cfg.seed, cfg.clustering_mode)
     except UsageError as exc:
         return {"skipped": str(exc)}
-    doc = dict(vars(report))
-    if not math.isfinite(report.sigma):
-        doc["sigma"] = None
-    return doc
+    return {**vars(report), "sigma": report.sigma if math.isfinite(report.sigma) else None}
 
 
 def stage_metrics(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> dict:
@@ -202,9 +235,8 @@ def stage_slice(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir)
 
 def stage_densify(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> dict:
     windows, pairs = densification_snapshots(corpus, cfg.window_length)
-    lines = ["start_year,end_year,n,m"]
-    lines += [f"{w.start_year},{w.end_year},{n},{m}" for w, (n, m) in zip(windows, pairs)]
-    out.text("snapshots.csv", "\n".join(lines) + "\n")
+    rows = "".join(f"{w.start_year},{w.end_year},{n},{m}\n" for w, (n, m) in zip(windows, pairs))
+    out.text("snapshots.csv", "start_year,end_year,n,m\n" + rows)
     try:
         doc = vars(densification_fit(pairs))
     except UsageError as exc:
@@ -220,14 +252,10 @@ def _layout_spec(cfg: argparse.Namespace) -> LayoutSpec:
 def _check_config(cfg: argparse.Namespace) -> None:
     """Reject out-of-range flag values before any artifact is written."""
     _layout_spec(cfg)
-    if cfg.window_length < 1:
-        raise UsageError("window length must be >= 1")
-    if cfg.step < 1:
-        raise UsageError("window step must be >= 1")
-    if cfg.sw_samples < 1:
-        raise UsageError("--sw-samples must be >= 1")
-    if cfg.seed < 0:
-        raise UsageError("--seed must be >= 0")
+    for name, value, floor in (("window length", cfg.window_length, 1), ("window step", cfg.step, 1),
+                               ("--sw-samples", cfg.sw_samples, 1), ("--seed", cfg.seed, 0)):
+        if value < floor:
+            raise UsageError(f"{name} must be >= {floor}")
 
 
 def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> None:
@@ -237,10 +265,6 @@ def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputD
     dot, svg = write_dot(graph, spec), render_network_svg(graph, spec)
     for suffix, text in (("net", net), ("clu", clu), ("dot", dot), ("svg", svg)):
         out.text(f"network.{suffix}", text)
-
-
-# ---------------------------------------------------------------------------
-# Report
 
 
 def _pct(fraction: float) -> str:
@@ -261,11 +285,8 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
     lines += ["## Corpus", ""]
     lines.append(f"- records after topic filter: {cov.kept_after_topic_filter}")
     lines.append(f"- records with affiliation countries: {cov.with_affiliation} ({_pct(cov.affiliation_fraction)})")
-    if cov.unknown_country_names:
-        shown = ", ".join(f"{name} ({count})" for name, count in cov.unknown_country_names[:5])
-        lines.append(f"- unresolved country names: {shown}")
-    else:
-        lines.append("- unresolved country names: none")
+    shown = ", ".join(f"{name} ({count})" for name, count in cov.unknown_country_names[:5])
+    lines.append(f"- unresolved country names: {shown or 'none'}")
     lines.append("")
 
     lines += ["## Network summary", ""]
@@ -283,14 +304,12 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
 
     lines += ["## Top countries by degree", ""]
     if top_rows:
-        lines.append("| rank | code | degree | betweenness | closeness |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        for rank, row in enumerate(top_rows, start=1):
-            lines.append(
-                f"| {rank} | {row['code']} | {row['degree']} | {row['betweenness']:.4f} | {row['closeness']:.4f} |"
-            )
-        lines.append("")
-        lines.append(f"- these {len(top_rows)} countries form a clique: {'yes' if top_clique else 'no'}")
+        lines += ["| rank | code | degree | betweenness | closeness |", "| --- | --- | --- | --- | --- |"]
+        lines += [
+            f"| {rank} | {row['code']} | {row['degree']} | {row['betweenness']:.4f} | {row['closeness']:.4f} |"
+            for rank, row in enumerate(top_rows, start=1)
+        ]
+        lines += ["", f"- these {len(top_rows)} countries form a clique: {'yes' if top_clique else 'no'}"]
     else:
         lines.append("(empty graph)")
     lines.append("")
@@ -324,72 +343,53 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
     lines.append("")
 
     lines += ["## Artifacts", ""]
-    for name in artifacts:
-        lines.append(f"- [{name}]({name})")
+    lines += [f"- [{name}]({name})" for name in artifacts]
     lines.append("")
     return "\n".join(lines)
 
 
 def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: OutputDir) -> None:
-    corpus = stage_ingest(cfg, registry, out)
-    graph = stage_build(cfg, corpus, out)
-    result = stage_metrics(cfg, graph, out)
-    windows = stage_slice(cfg, corpus, out)
-    densify_doc = stage_densify(cfg, corpus, out)
-
-    first_years, cumulative = first_year_series(corpus)
-    out.json("first_years.json", first_years)
-    regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))
-    out.text("regions_cumulative.csv", regions_csv)
-    out.text("regions_cumulative.svg", regions_svg)
-    disc_csv, disc_svg = emit_series(discipline_series(corpus.rs))
-    out.text("disciplines.csv", disc_csv)
-    out.text("disciplines.svg", disc_svg)
-    stage_export(cfg, graph, out)
-
-    by_code = {row["code"]: row for row in result["centrality"]}
+    # Each stage gets the in-memory form of what it reads: a stage returns that of the first artifact it writes.
+    inputs, results = {"side files": registry}, {}
+    for stage in STAGES:
+        if stage.name == "export":  # report.md lists the report-only series before the network files
+            corpus = inputs["records.jsonl"]
+            first_years, cumulative = first_year_series(corpus)
+            out.json("first_years.json", first_years)
+            regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))
+            out.text("regions_cumulative.csv", regions_csv)
+            out.text("regions_cumulative.svg", regions_svg)
+            disc_csv, disc_svg = emit_series(discipline_series(corpus.rs))
+            out.text("disciplines.csv", disc_csv)
+            out.text("disciplines.svg", disc_svg)
+        # Through the module attribute, so that a wrapper bound to stage_<name> sees the call.
+        results[stage.name] = inputs[stage.writes[0]] = globals()[f"stage_{stage.name}"](cfg, inputs[stage.reads], out)
+    graph, met = inputs["graph.json"], results["metrics"]
+    by_code = {row["code"]: row for row in met["centrality"]}
     top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)]
     top_clique = is_clique(graph, [row["code"] for row in top_rows])
-    markdown = _report_markdown(
-        cfg, corpus.coverage, result["summary"], top_rows, top_clique, result["smallworld"], densify_doc, windows, out.names
-    )
-    out.text("report.md", markdown)
+    sections = (met["summary"], top_rows, top_clique, met["smallworld"], results["densify"], results["slice"])
+    out.text("report.md", _report_markdown(cfg, corpus.coverage, *sections, out.names))
     print(f"report written to {out.root / 'report.md'}")
 
 
-_HANDLERS = {
-    "ingest": stage_ingest,
-    "build": stage_build,
-    "metrics": stage_metrics,
-    "slice": stage_slice,
-    "densify": stage_densify,
-    "export": stage_export,
-    "report": stage_report,
-}
-
-# What each stage consumes, read before anything is written: the side files,
-# or the corpus or graph cached in --out.
-_INPUTS = {
-    "ingest": _load_side_files,
-    "build": _load_corpus,
-    "metrics": _load_graph,
-    "slice": _load_corpus,
-    "densify": _load_corpus,
-    "export": _load_graph,
-    "report": _load_side_files,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        cfg = parser.parse_args(argv)
+        cfg = build_parser().parse_args(argv)
         _check_config(cfg)
         root = Path(cfg.out)
-        consumed = _INPUTS[cfg.command](cfg, root)
+        stages = _downstream(cfg.command)
+        consumed = _load_input(cfg, root, stages[0].reads)
+        # Keep the sections of the stages this run leaves standing (ingest and report leave none).
+        kept = _read_config(root / "config.json") if len(stages) < len(STAGES) else {}
+        config = {name: section for name, section in kept.items() if name not in {s.name for s in stages}}
+        for stage in stages if cfg.command == "report" else stages[:1]:
+            config[stage.name] = {flag: getattr(cfg, flag) for flag in stage.flags}
         out = OutputDir(root)
-        out.json("config.json", vars(cfg))
-        _HANDLERS[cfg.command](cfg, consumed, out)
+        for name in [*(artifact for s in stages for artifact in s.writes), *_REPORT_WRITES]:
+            (root / name).unlink(missing_ok=True)
+        out.json("config.json", config)
+        globals()[f"stage_{cfg.command}"](cfg, consumed, out)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

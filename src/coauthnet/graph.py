@@ -138,9 +138,6 @@ class CoauthorshipGraph:
     def degrees(self) -> dict[str, int]:
         return {code: len(nbrs) for code, nbrs in self._adj.items()}
 
-    def neighbors(self, code: str) -> list[str]:
-        return sorted(self._adj[code])
-
     def neighbor_set(self, code: str):
         """The neighbours of `code` in no particular order (a read-only view)."""
         return self._adj[code].keys()
@@ -203,7 +200,11 @@ class CoauthorshipGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "CoauthorshipGraph":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
+        return cls.from_json(text)
 
 
 def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> CoauthorshipGraph:

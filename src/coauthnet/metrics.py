@@ -192,12 +192,6 @@ def components(g: CoauthorshipGraph) -> ComponentPartition:
     )
 
 
-def giant_component_codes(g: CoauthorshipGraph) -> list[str]:
-    """Members of the largest component (smallest-code component wins ties)."""
-    codes = g.codes()
-    return [codes[i] for i in _geodesics(g).giant().tolist()]
-
-
 @dataclass
 class PathStats:
     diameter: int

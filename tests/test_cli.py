@@ -2,11 +2,14 @@ import hashlib
 import json
 import random
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coauthnet import read_pajek
+from coauthnet import CoauthorshipGraph, read_pajek
 from coauthnet.cli import main
 
 from conftest import FIXTURE_CORPUS, synthetic_corpus_rows, write_jsonl
@@ -144,9 +147,11 @@ def test_report_never_reuses_ingested_records(tmp_path, capsys):
     assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
     variants = tmp_path / "variants.txt"
     variants.write_text("fusion\n", encoding="utf-8")
+    before = _tree_bytes(out)
     assert run("report", "--variants", variants, "--out", out) == 1
     assert not (out / "graph.json").exists()
-    assert json.loads((out / "config.json").read_text())["command"] == "ingest"
+    assert list(json.loads((out / "config.json").read_text())) == ["ingest"]
+    assert _tree_bytes(out) == before
 
 
 def test_missing_file_is_data_exit(tmp_path, capsys):
@@ -237,10 +242,22 @@ def test_file_mediated_pipeline(tmp_path, capsys):
 def test_config_echo(tmp_path):
     out = tmp_path / "out"
     assert run("ingest", "--input", FIXTURE_CORPUS, "--seed", 7, "--out", out) == 0
+    ingest = {
+        "input": str(FIXTURE_CORPUS),
+        "format": "jsonl",
+        "variants": None,
+        "registry": None,
+        "resolved_variants": ["chernobyl", "chornobyl"],
+    }
+    assert json.loads((out / "config.json").read_text()) == {"ingest": ingest}
+    assert run("build", "--out", out) == 0
+    assert run("metrics", "--seed", 7, "--out", out) == 0
     config = json.loads((out / "config.json").read_text())
-    assert config["seed"] == 7
-    assert config["resolved_variants"] == ["chernobyl", "chornobyl"]
-    assert config["command"] == "ingest"
+    assert config == {
+        "ingest": ingest,
+        "build": {"registry": None},
+        "metrics": {"clustering_mode": "exclude_low_degree", "sw_samples": 100, "seed": 7},
+    }
 
 
 def test_custom_variants_filter_everything(tmp_path):
@@ -335,8 +352,7 @@ def test_report_equals_staged_run(tmp_path, capsys, corpus):
     assert set(staged_names) <= {p.name for p in report.iterdir()}
     assert len(staged_names) == 16
     for name in staged_names:
-        if name != "config.json":
-            assert (report / name).read_bytes() == (staged / name).read_bytes(), name
+        assert (report / name).read_bytes() == (staged / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -380,3 +396,168 @@ def test_report_bytes_on_criterion_9_corpus(tmp_path, capsys, registry):
     assert run("report", "--input", corpus, "--out", out) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CRITERION_9_DIGESTS}
     assert digests == CRITERION_9_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Stale artifacts and config.json sections. The stage facts are restated here
+# rather than read from coauthnet.cli.STAGES, so the tests check the table.
+
+_WRITES = {
+    "ingest": ["records.jsonl", "coverage.json"],
+    "build": ["graph.json"],
+    "metrics": ["summary.json", "centrality.json", "degree_histogram.json", "smallworld.json"],
+    "slice": ["windows.json", "series_summary.csv"],
+    "densify": ["snapshots.csv", "densification.json"],
+    "export": ["network.net", "network.clu", "network.dot", "network.svg"],
+    "report": [
+        "first_years.json",
+        "regions_cumulative.csv",
+        "regions_cumulative.svg",
+        "disciplines.csv",
+        "disciplines.svg",
+        "report.md",
+    ],
+}
+# The stage whose output each stage reads.
+_READS_FROM = {"ingest": None, "build": "ingest", "metrics": "build", "slice": "ingest", "densify": "ingest", "export": "build"}
+
+
+def _needs(stage):
+    """The config.json sections an artifact of `stage` requires."""
+    if stage == "report":
+        return set(_READS_FROM)
+    return {stage} | (_needs(_READS_FROM[stage]) if _READS_FROM[stage] else set())
+
+
+def test_rerun_ingest_drops_the_graph_it_no_longer_describes(tmp_path, capsys):
+    out = tmp_path / "out"
+    variants = tmp_path / "fusion.txt"
+    variants.write_text("fusion\n", encoding="utf-8")
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    assert run("build", "--out", out) == 0
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--variants", variants, "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "coverage.json", "records.jsonl"]
+    assert json.loads((out / "coverage.json").read_text())["kept_after_topic_filter"] == 0
+    assert list(json.loads((out / "config.json").read_text())) == ["ingest"]
+    capsys.readouterr()
+    assert run("metrics", "--out", out) == 1
+    assert f"coauthnet build --out {out}" in capsys.readouterr().err
+
+
+def test_build_with_another_registry_drops_the_metrics(tmp_path, capsys):
+    out = tmp_path / "out"
+    registry = tmp_path / "registry.csv"
+    registry.write_text("code,display_name,region,historic,aliases\nAUT,Austria,Europe,false,\n", encoding="utf-8")
+    assert run("report", "--input", FIXTURE_CORPUS, "--sw-samples", 2, "--out", out) == 0
+    assert run("build", "--registry", registry, "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["config.json", *_WRITES["ingest"], "graph.json", *_WRITES["slice"], *_WRITES["densify"]]
+    )
+    assert sorted(json.loads((out / "config.json").read_text())) == ["build", "densify", "ingest", "slice"]
+    assert json.loads((out / "config.json").read_text())["build"] == {"registry": str(registry)}
+
+
+def test_non_utf8_graph_json_is_data_exit(tmp_path, capsys):
+    out = tmp_path / "g"
+    out.mkdir()
+    (out / "graph.json").write_bytes(b"\xff\xfe")
+    assert run("metrics", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(out / "graph.json") in err
+    assert "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["graph.json"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        b"{not json",
+        b'{"command": "build", "out": "out", "seed": 0}',
+        b'["ingest"]',
+        b'{"ingest": {}, "build": 3}',
+        b'{"report": {}}',
+    ],
+    ids=["non-utf8", "not-json", "flat-format", "list", "non-dict-section", "unknown-stage"],
+)
+def test_malformed_config_json_is_data_exit(tmp_path, capsys, content):
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    (out / "config.json").write_bytes(content)
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert run("build", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "config.json" in err and "Traceback" not in err
+    assert _tree_bytes(out) == before
+
+
+def test_interrupted_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+
+    def half_save(graph, path):
+        text = graph.to_json()
+        Path(path).write_text(text[: len(text) // 2], encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(CoauthorshipGraph, "save", half_save)
+    assert run("build", "--out", out) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "coverage.json", "records.jsonl"]
+
+
+def _valid_order(data):
+    """Draw an order of the six stages in which each runs after the stage it reads from."""
+    order = []
+    while len(order) < len(_READS_FROM):
+        ready = [s for s, up in _READS_FROM.items() if s not in order and (up is None or up in order)]
+        order.append(data.draw(st.sampled_from(ready)))
+    return order
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_valid_stage_order_writes_the_report_tree(data):
+    order = _valid_order(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        report, staged = Path(tmp) / "report", Path(tmp) / "staged"
+        assert run("report", "--input", FIXTURE_CORPUS, "--sw-samples", 2, "--out", report) == 0
+        for stage in order:
+            extra = ["--input", FIXTURE_CORPUS] if stage == "ingest" else []
+            assert run(stage, *extra, "--sw-samples", 2, "--out", staged) == 0
+        staged_tree = _tree_bytes(staged)
+        assert sorted(staged_tree) == sorted(["config.json", *(n for s in _READS_FROM for n in _WRITES[s])])
+        assert staged_tree == {name: (report / name).read_bytes() for name in staged_tree}
+
+
+_RUNS = [
+    ("ingest", "--input", FIXTURE_CORPUS),
+    ("ingest", "--input", FIXTURE_CORPUS, "--variants", "{tmp}/fusion.txt"),
+    ("build",),
+    ("metrics",),
+    ("metrics", "--seed", 5),
+    ("slice",),
+    ("densify", "--window-length", 2),
+    ("export",),
+    ("report", "--input", FIXTURE_CORPUS),
+]
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs=st.lists(st.sampled_from(_RUNS), min_size=1, max_size=8))
+def test_no_artifact_outlives_its_config_sections(runs):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        (Path(tmp) / "fusion.txt").write_text("fusion\n", encoding="utf-8")
+        for args in runs:
+            before = _tree_bytes(out) if out.exists() else {}
+            code = run(*(str(a).format(tmp=tmp) for a in args), "--sw-samples", 2, "--out", out)
+            assert code in (0, 1)
+            tree = _tree_bytes(out) if out.exists() else {}
+            if code == 1:
+                assert tree == before
+            sections = set(json.loads(tree["config.json"])) if "config.json" in tree else set()
+            for stage, names in _WRITES.items():
+                for name in set(names) & set(tree):
+                    assert _needs(stage) <= sections, (args, name, sections)

@@ -27,7 +27,7 @@ from coauthnet import (
     summary,
     top_k_by_degree,
 )
-from coauthnet.metrics import _geodesics, giant_component_codes, random_edge_set
+from coauthnet.metrics import _geodesics, random_edge_set
 
 from bruteforce import (
     oracle_betweenness,
@@ -173,7 +173,7 @@ def loop_betweenness(g):
     score = {c: 0.0 for c in codes}
     if n < 3:
         return score
-    adj = {code: g.neighbors(code) for code in codes}
+    adj = {code: sorted(g.neighbor_set(code)) for code in codes}
     for source in codes:
         stack = []
         preds = {c: [] for c in codes}
@@ -550,8 +550,17 @@ def test_random_edge_set_is_uniform_on_k5():
 
 
 def test_giant_component_codes():
-    g = graph_from_edges([("A", "B"), ("B", "C"), ("X", "Y")])
-    assert giant_component_codes(g) == ["A", "B", "C"]
+    # Component ids follow the smallest member code, so the largest component
+    # with the smallest id is the giant, ties going to the smallest code.
+    for edges, nodes, expected in (
+        ([("A", "B"), ("B", "C"), ("X", "Y")], None, ["A", "B", "C"]),
+        ([("X", "Y"), ("B", "C")], ["A"], ["B", "C"]),
+        ([], None, []),
+    ):
+        assignment = components(graph_from_edges(edges, nodes=nodes)).assignment
+        ids = list(assignment.values())
+        giant = max(set(ids), key=lambda c: (ids.count(c), -c), default=None)
+        assert [code for code, c in assignment.items() if c == giant] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from coauthnet import betweenness, closeness, clustering, components, graph_from_edges, path_stats, small_world
-from coauthnet.metrics import giant_component_codes, random_edge_set
+from coauthnet.metrics import random_edge_set
 
 from conftest import random_edges, rank_pairs
 
@@ -91,7 +91,9 @@ def test_components_and_giant_match_networkx():
         assert part.isolated_count == nx.number_of_isolates(h)
         # The giant is the largest component, ties going to the smallest code.
         ranked = sorted(nx.connected_components(h), key=lambda comp: (-len(comp), min(comp)))
-        assert giant_component_codes(g) == (sorted(ranked[0]) if ranked else [])
+        ids = list(part.assignment.values())
+        giant = max(set(ids), key=lambda c: (ids.count(c), -c), default=None)
+        assert sorted(code for code, c in part.assignment.items() if c == giant) == (sorted(ranked[0]) if ranked else [])
 
 
 @pytest.mark.parametrize("mode", ["exclude_low_degree", "zero_low_degree"])

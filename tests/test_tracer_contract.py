@@ -12,7 +12,9 @@ import inspect
 import runpy
 from pathlib import Path
 
-from coauthnet import RecordSet, graph_from_edges, metrics
+from coauthnet import RecordSet, cli, graph_from_edges, metrics
+
+from conftest import FIXTURE_CORPUS
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
 
@@ -56,3 +58,25 @@ def test_small_world_draws_through_random_edge_set_once_per_sample(monkeypatch):
     ring = graph_from_edges([(f"R{i:02d}", f"R{(i + 1) % 12:02d}") for i in range(12)])
     metrics.small_world(ring, 7, 3)
     assert calls == [(12, 12)] * 7
+
+
+def test_main_reaches_every_stage_through_its_module_attribute(tmp_path, monkeypatch, capsys):
+    # The tracer rebinds cli.stage_<name>; a dispatch through any other
+    # reference (a function kept in a table row, say) would leave its
+    # cli.stage.<name>_s metric at 0.
+    commands = ["ingest", "build", "metrics", "slice", "densify", "export", "report"]
+    calls = []
+    for command in commands:
+        stage = getattr(cli, f"stage_{command}")
+
+        def counted(*args, _stage=stage, _command=command):
+            calls.append(_command)
+            return _stage(*args)
+
+        monkeypatch.setattr(cli, f"stage_{command}", counted)
+    out = tmp_path / "out"
+    for command in commands:
+        calls.clear()
+        extra = ["--input", str(FIXTURE_CORPUS)] if command in ("ingest", "report") else []
+        assert cli.main([command, *extra, "--sw-samples", "2", "--out", str(out)]) == 0
+        assert calls == (["report", *commands[:-1]] if command == "report" else [command]), command
