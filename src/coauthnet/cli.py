@@ -180,7 +180,7 @@ def _read_config(path: Path) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return {}
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise DataError(f"{path}: {exc}") from exc
     names = {s.name for s in STAGES}
     if not isinstance(doc, dict) or not all(k in names and isinstance(v, dict) for k, v in doc.items()):
@@ -190,9 +190,10 @@ def _read_config(path: Path) -> dict:
 
 def stage_ingest(cfg: argparse.Namespace, registry: CountryRegistry, out: OutputDir) -> ResolvedCorpus:
     parsed = parse_records(cfg.input, cfg.format)
-    corpus = ResolvedCorpus(filter_topic(parsed, cfg.resolved_variants), registry)
+    kept = filter_topic(parsed, cfg.resolved_variants)
+    corpus = ResolvedCorpus(kept, registry)
     with out.path("records.jsonl") as path:
-        write_records_jsonl(corpus.rs, path)
+        write_records_jsonl(kept, path)
     out.json("coverage.json", {"total_parsed": len(parsed), **vars(corpus.coverage)})
     return corpus
 
@@ -224,7 +225,7 @@ def stage_metrics(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: Output
 
 
 def stage_slice(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> list:
-    windows = slice_windows(corpus.rs, cfg.window_length, cfg.step, cfg.mode)
+    windows = slice_windows(corpus.span, cfg.window_length, cfg.step, cfg.mode)
     out.json("windows.json", [[w.start_year, w.end_year] for w in windows])
     csv_text, _ = emit_series(metric_series(corpus, windows, cfg.clustering_mode))
     out.text("series_summary.csv", csv_text)
@@ -359,7 +360,7 @@ def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
             regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))
             out.text("regions_cumulative.csv", regions_csv)
             out.text("regions_cumulative.svg", regions_svg)
-            disc_csv, disc_svg = emit_series(discipline_series(corpus.rs))
+            disc_csv, disc_svg = emit_series(discipline_series(corpus))
             out.text("disciplines.csv", disc_csv)
             out.text("disciplines.svg", disc_svg)
         # Through the module attribute, so that a wrapper bound to stage_<name> sees the call.
@@ -382,14 +383,23 @@ def main(argv=None) -> int:
         consumed = _load_input(cfg, root, stages[0].reads)
         # Keep the sections of the stages this run leaves standing (ingest and report leave none).
         kept = _read_config(root / "config.json") if len(stages) < len(STAGES) else {}
-        config = {name: section for name, section in kept.items() if name not in {s.name for s in stages}}
+        standing = {name: section for name, section in kept.items() if name not in {s.name for s in stages}}
+        config = dict(standing)
         for stage in stages if cfg.command == "report" else stages[:1]:
             config[stage.name] = {flag: getattr(cfg, flag) for flag in stage.flags}
         out = OutputDir(root)
-        for name in [*(artifact for s in stages for artifact in s.writes), *_REPORT_WRITES]:
+        invalidated = [*(artifact for s in stages for artifact in s.writes), *_REPORT_WRITES]
+        for name in invalidated:
             (root / name).unlink(missing_ok=True)
         out.json("config.json", config)
-        globals()[f"stage_{cfg.command}"](cfg, consumed, out)
+        try:
+            globals()[f"stage_{cfg.command}"](cfg, consumed, out)
+        except (UsageError, DataError, OSError):
+            # A failed command leaves only what the stages standing before it wrote.
+            for name in invalidated:
+                (root / name).unlink(missing_ok=True)
+            out.json("config.json", standing)
+            raise
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

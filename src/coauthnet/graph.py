@@ -1,4 +1,5 @@
-"""Country-level coauthorship graph: construction, basic stats, subgraphs.
+"""Country-level coauthorship graph: the resolved corpus (it holds the year
+buckets, not the records), graph construction, basic stats, subgraphs.
 
 The graph is undirected, simple and weighted: two countries are linked when
 they appear together in the affiliation country list of at least one record
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from itertools import permutations
 from pathlib import Path
 
@@ -36,13 +36,6 @@ class TimeWindow:
 
     def label(self) -> str:
         return f"{self.start_year}-{self.end_year}"
-
-    @classmethod
-    def covering(cls, rs: RecordSet) -> "TimeWindow":
-        span = rs.year_span()
-        if span is None:
-            return cls(0, 0)
-        return cls(*span)
 
 
 @dataclass
@@ -193,6 +186,8 @@ class CoauthorshipGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid graph JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise DataError("invalid graph JSON: nested too deeply") from exc
         return cls.from_dict(doc)
 
     def save(self, path: str | Path) -> None:
@@ -241,14 +236,19 @@ def _add(totals: dict, delta: dict, sign: int) -> None:
             del totals[key]
 
 
-class ResolvedCorpus:
-    """A record set resolved against a registry once and bucketed by year.
+UNCLASSIFIED_SUBJECT = "(unclassified)"
 
-    Each distinct raw name is resolved once. The corpus keeps every
-    country's first year over the whole corpus (so grouping by entry year is
-    stable across windows), the per-occurrence tally of names the registry
-    cannot resolve, and per-year paper counts and adjacency (code ->
-    {neighbour: weight}, both directions).
+
+class ResolvedCorpus:
+    """A record set resolved against a registry once and bucketed by year;
+    it holds the buckets, not the records.
+
+    Each distinct raw name is resolved once. The corpus keeps the year span,
+    the affiliation coverage, every country's first year over the whole
+    corpus (so grouping by entry year is stable across windows), the
+    per-occurrence tally of names the registry cannot resolve, and per year
+    the paper counts per subject (UNCLASSIFIED_SUBJECT for none) and per
+    country, and the adjacency (code -> {neighbour: weight}, both directions).
 
     A window's graph is the sum of the year buckets it contains. A sequence
     of windows is stepped, not re-summed: running totals subtract the years
@@ -259,10 +259,10 @@ class ResolvedCorpus:
     """
 
     def __init__(self, rs: RecordSet, registry: CountryRegistry):
-        self.rs = rs
         self.registry = registry
         self.first_year: dict[str, int] = {}
         self.unknown: dict[str, int] = {}
+        self.subjects: dict[int, dict[str, int]] = {}
         self._years: dict[int, tuple[dict[str, int], dict[str, dict[str, int]]]] = {}
         resolved: dict[str, str | None] = {}
         for record in rs.records:
@@ -275,6 +275,9 @@ class ResolvedCorpus:
                     self.unknown[raw] = self.unknown.get(raw, 0) + 1
                 else:
                     found.add(resolved[raw])
+            subjects = self.subjects.setdefault(record.year, {})
+            for subject in record.subjects or (UNCLASSIFIED_SUBJECT,):
+                subjects[subject] = subjects.get(subject, 0) + 1
             counts, adj = self._years.setdefault(record.year, ({}, {}))
             for code in found:
                 counts[code] = counts.get(code, 0) + 1
@@ -283,11 +286,8 @@ class ResolvedCorpus:
             for a, b in permutations(found, 2):
                 row = adj.setdefault(a, {})
                 row[b] = row.get(b, 0) + 1
-
-    @cached_property
-    def coverage(self) -> CoverageStats:
-        """Affiliation coverage of the records, with the tally of unresolved names."""
-        return coverage_stats(self.rs, self.unknown)
+        self.span: tuple[int, int] | None = (min(self._years), max(self._years)) if self._years else None
+        self.coverage: CoverageStats = coverage_stats(rs, self.unknown)
 
     def _totals(self, windows):
         """Yield (window, paper counts, adjacency) per window, each stepped
@@ -336,12 +336,8 @@ class ResolvedCorpus:
             yield len(counts), sum(map(len, adj.values())) // 2
 
     def graph(self, window: TimeWindow | None = None) -> CoauthorshipGraph:
-        """The graph of one window (see graphs); the default window covers the whole corpus."""
-        return next(self.graphs([window or TimeWindow.covering(self.rs)]))
-
-    def size(self, window: TimeWindow) -> tuple[int, int]:
-        """(n, m) of one window's graph (see sizes)."""
-        return next(self.sizes([window]))
+        """The graph of one window (see graphs); the default window is the corpus span."""
+        return next(self.graphs([window or TimeWindow(*(self.span or (0, 0)))]))
 
 
 def build_network(

@@ -56,12 +56,6 @@ class RecordSet:
     def __len__(self) -> int:
         return len(self.records)
 
-    def year_span(self) -> tuple[int, int] | None:
-        if not self.records:
-            return None
-        years = [r.year for r in self.records]
-        return min(years), max(years)
-
 
 def _dedup(items: list[str]) -> list[str]:
     seen: dict[str, None] = {}
@@ -108,6 +102,8 @@ def _parse_jsonl(path: Path) -> list[tuple[PublicationRecord, int]]:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise DataError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            except RecursionError as exc:
+                raise DataError("invalid JSON: nested too deeply", line=lineno) from exc
             if not isinstance(obj, dict):
                 raise DataError("each line must hold a JSON object", line=lineno)
             out.append((_record_from_fields(obj, lineno), lineno))

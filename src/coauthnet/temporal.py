@@ -10,14 +10,11 @@ from dataclasses import dataclass, field
 from .countries import REGIONS
 from .errors import UsageError
 from .graph import ResolvedCorpus, TimeWindow
-from .ingest import RecordSet
 from .metrics import DEFAULT_CLUSTERING_MODE, lazy_import, summary
 
 np = lazy_import("numpy")
 
 WINDOW_MODES = ("sliding", "cumulative")
-
-UNCLASSIFIED_SUBJECT = "(unclassified)"
 
 # GraphSummary fields that make sense as a per-window series.
 SUMMARY_SELECTORS = (
@@ -42,8 +39,8 @@ class WindowSeries:
     rows: list[tuple]
 
 
-def slice_windows(rs: RecordSet, length: int, step: int, mode: str) -> list[TimeWindow]:
-    """Cut the corpus year span into windows.
+def slice_windows(span: tuple[int, int] | None, length: int, step: int, mode: str) -> list[TimeWindow]:
+    """Cut a corpus year span (ResolvedCorpus.span; None for an empty corpus) into windows.
 
     Sliding windows have fixed length and advance by `step` from the corpus
     minimum year until the maximum year is covered; cumulative windows share
@@ -55,7 +52,6 @@ def slice_windows(rs: RecordSet, length: int, step: int, mode: str) -> list[Time
         raise UsageError("window step must be >= 1")
     if mode not in WINDOW_MODES:
         raise UsageError(f"unknown window mode {mode!r} (expected one of {WINDOW_MODES})")
-    span = rs.year_span()
     if span is None:
         return []
     t0, tmax = span
@@ -165,7 +161,7 @@ def densification_snapshots(
     length: int,
 ) -> tuple[list[TimeWindow], list[tuple[int, int]]]:
     """(n, m) pairs for cumulative windows of the given growth length."""
-    windows = slice_windows(corpus.rs, length, length, "cumulative")
+    windows = slice_windows(corpus.span, length, length, "cumulative")
     return windows, list(corpus.sizes(windows))
 
 
@@ -180,7 +176,7 @@ def first_year_series(corpus: ResolvedCorpus) -> tuple[dict[str, int], dict[str,
     cumulative: dict[str, dict[int, int]] = {region: {} for region in REGIONS}
     if first_year:
         y0 = min(first_year.values())
-        y1 = corpus.rs.year_span()[1]
+        y1 = corpus.span[1]
         by_region: dict[str, list[int]] = {region: [] for region in REGIONS}
         for code, year in first_year.items():
             by_region[corpus.registry.get(code).region].append(year)
@@ -190,13 +186,11 @@ def first_year_series(corpus: ResolvedCorpus) -> tuple[dict[str, int], dict[str,
     return dict(sorted(first_year.items())), cumulative
 
 
-def discipline_series(rs: RecordSet) -> dict[str, dict[int, int]]:
+def discipline_series(corpus: ResolvedCorpus) -> dict[str, dict[int, int]]:
     """Paper counts per subject per year; subjectless records fall under
-    the reserved "(unclassified)" key."""
+    the reserved UNCLASSIFIED_SUBJECT key."""
     out: dict[str, dict[int, int]] = {}
-    for record in rs.records:
-        subjects = record.subjects or [UNCLASSIFIED_SUBJECT]
-        for subject in subjects:
-            per_year = out.setdefault(subject, {})
-            per_year[record.year] = per_year.get(record.year, 0) + 1
-    return {subject: dict(sorted(out[subject].items())) for subject in sorted(out)}
+    for year, counts in sorted(corpus.subjects.items()):
+        for subject, count in counts.items():
+            out.setdefault(subject, {})[year] = count
+    return {subject: out[subject] for subject in sorted(out)}

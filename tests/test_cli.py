@@ -209,6 +209,18 @@ def test_export_that_cannot_draw_writes_no_network_file(tmp_path, capsys):
     assert run("export", "--out", out) == 1
     assert "no paper count" in capsys.readouterr().err
     assert not list(out.glob("network.*"))
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "graph.json"]
+    assert "export" not in json.loads((out / "config.json").read_text())
+
+
+def test_failed_ingest_leaves_no_artifact_and_no_section(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "year": 1986}\nnot json\n', encoding="utf-8")
+    out = tmp_path / "o"
+    assert run("ingest", "--input", bad, "--out", out) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["config.json"]
+    assert json.loads((out / "config.json").read_text()) == {}
 
 
 def test_file_mediated_pipeline(tmp_path, capsys):
@@ -505,6 +517,7 @@ def test_interrupted_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert run("build", "--out", out) == 2
     assert "disk full" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["config.json", "coverage.json", "records.jsonl"]
+    assert list(json.loads((out / "config.json").read_text())) == ["ingest"]
 
 
 def _valid_order(data):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -19,8 +21,9 @@ from coauthnet import (
     parse_records,
     slice_windows,
 )
+from coauthnet.graph import UNCLASSIFIED_SUBJECT
 from coauthnet.ingest import PublicationRecord, RecordSet
-from coauthnet.temporal import densification_snapshots
+from coauthnet.temporal import densification_snapshots, discipline_series
 
 from bruteforce import oracle_edge_weights
 from conftest import synthetic_corpus_rows, write_jsonl
@@ -183,11 +186,22 @@ def test_edge_weights_match_bruteforce_recount(tmp_path, registry):
     for year, codes in resolved:
         for code in codes:
             first_year[code] = min(first_year.get(code, year), year)
+    years = [record.year for record in rs.records]
+    assert corpus.span == (min(years), max(years))
+    subjects = {}
+    for record in rs.records:
+        for subject in record.subjects or [UNCLASSIFIED_SUBJECT]:
+            per_year = subjects.setdefault(subject, {})
+            per_year[record.year] = per_year.get(record.year, 0) + 1
+    assert UNCLASSIFIED_SUBJECT in subjects
+    series = discipline_series(corpus)
+    assert series == subjects
+    assert list(series) == sorted(subjects) and all(list(s) == sorted(s) for s in series.values())
 
     windows = [TimeWindow(1990, 2005)]
     for length, step in ((1, 1), (3, 2), (5, 5), (7, 3)):
         for mode in ("sliding", "cumulative"):
-            windows += slice_windows(rs, length, step, mode)
+            windows += slice_windows(corpus.span, length, step, mode)
     assert len(windows) > 40
     for window in windows:
         g = corpus.graph(window)
@@ -202,6 +216,18 @@ def test_edge_weights_match_bruteforce_recount(tmp_path, registry):
         assert g == build_network(rs, registry, window)
 
 
+def test_corpus_keeps_no_record_alive(tmp_path, registry):
+    rows = [{"id": "p1", "year": 1990, "countries": ["Ukraine", "Atlantis"], "subjects": ["Physics"]}]
+    rs = _corpus(tmp_path, rows)
+    corpus = ResolvedCorpus(rs, registry)
+    record = weakref.ref(rs.records[0])
+    del rs
+    gc.collect()
+    assert record() is None
+    assert corpus.span == (1990, 1990) and corpus.graph().codes() == ["UKR"]
+    assert corpus.coverage.unknown_country_names == [("Atlantis", 1)]
+
+
 def test_window_size_matches_built_graph(tmp_path, registry):
     rng = random.Random(17)
     names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada", "Atlantis"]
@@ -212,11 +238,11 @@ def test_window_size_matches_built_graph(tmp_path, registry):
     windows = [TimeWindow(1990, 2005), TimeWindow(1900, 1900)]
     for length, step in ((1, 1), (3, 2), (5, 5), (7, 3)):
         for mode in ("sliding", "cumulative"):
-            windows += slice_windows(rs, length, step, mode)
+            windows += slice_windows(corpus.span, length, step, mode)
     assert len(windows) > 40
     for window in windows:
         g = corpus.graph(window)
-        assert corpus.size(window) == (g.n, g.m), window
+        assert next(corpus.sizes([window])) == (g.n, g.m), window
     snapshots = densification_snapshots(corpus, 2)
     assert snapshots[1] == [(g.n, g.m) for g in map(corpus.graph, snapshots[0])]
 

@@ -251,7 +251,7 @@ def test_kernel_adjacency_of_stepped_graphs_matches_edge_list(tmp_path, registry
     names = [registry.get(code).display_name for code in registry.codes()[:30]]
     rs = parse_records(write_jsonl(tmp_path / "c.jsonl", synthetic_corpus_rows(random.Random(8), 600, names)))
     corpus = ResolvedCorpus(rs, registry)
-    windows = slice_windows(rs, 3, 5, "sliding") + slice_windows(rs, 5, 3, "sliding")
+    windows = slice_windows(corpus.span, 3, 5, "sliding") + slice_windows(corpus.span, 5, 3, "sliding")
     for g in corpus.graphs(sorted(windows, key=lambda w: w.start_year)):
         index = {code: i for i, code in enumerate(g.codes())}
         expected = np.zeros((g.n, g.n), dtype=bool)

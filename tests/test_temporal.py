@@ -17,7 +17,8 @@ from coauthnet import (
     slice_windows,
     summary,
 )
-from coauthnet.temporal import SUMMARY_SELECTORS, UNCLASSIFIED_SUBJECT, densification_snapshots
+from coauthnet.graph import UNCLASSIFIED_SUBJECT
+from coauthnet.temporal import SUMMARY_SELECTORS, densification_snapshots
 
 from conftest import densifying_corpus_rows, densifying_registry_csv, synthetic_corpus_rows, write_jsonl
 
@@ -40,9 +41,8 @@ def _span_corpus(tmp_path, years):
 # slicing
 
 
-def test_cumulative_windows_every_five_years(tmp_path):
-    rs = _span_corpus(tmp_path, [1986, 2015])
-    windows = slice_windows(rs, 5, 5, "cumulative")
+def test_cumulative_windows_every_five_years():
+    windows = slice_windows((1986, 2015), 5, 5, "cumulative")
     assert [(w.start_year, w.end_year) for w in windows] == [
         (1986, 1990),
         (1986, 1995),
@@ -53,9 +53,8 @@ def test_cumulative_windows_every_five_years(tmp_path):
     ]
 
 
-def test_sliding_windows_every_five_years(tmp_path):
-    rs = _span_corpus(tmp_path, [1986, 2015])
-    windows = slice_windows(rs, 5, 5, "sliding")
+def test_sliding_windows_every_five_years():
+    windows = slice_windows((1986, 2015), 5, 5, "sliding")
     assert windows[0] == TimeWindow(1986, 1990)
     assert windows[-1] == TimeWindow(2011, 2015)
     assert len(windows) == 6
@@ -63,9 +62,8 @@ def test_sliding_windows_every_five_years(tmp_path):
         assert cur.start_year == prev.start_year + 5
 
 
-def test_sliding_windows_overlap_with_small_step(tmp_path):
-    rs = _span_corpus(tmp_path, [1986, 1994])
-    windows = slice_windows(rs, 5, 2, "sliding")
+def test_sliding_windows_overlap_with_small_step():
+    windows = slice_windows((1986, 1994), 5, 2, "sliding")
     assert [(w.start_year, w.end_year) for w in windows] == [
         (1986, 1990),
         (1988, 1992),
@@ -73,27 +71,25 @@ def test_sliding_windows_overlap_with_small_step(tmp_path):
     ]
 
 
-def test_windows_cover_corpus_maximum(tmp_path):
-    rs = _span_corpus(tmp_path, [1986, 2013])
+def test_windows_cover_corpus_maximum():
     for mode in ("sliding", "cumulative"):
-        windows = slice_windows(rs, 5, 5, mode)
+        windows = slice_windows((1986, 2013), 5, 5, mode)
         assert windows[-1].end_year >= 2013
 
 
-def test_slice_empty_corpus(tmp_path):
+def test_slice_empty_corpus(tmp_path, registry):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
-    assert slice_windows(parse_records(path), 5, 5, "sliding") == []
+    assert slice_windows(ResolvedCorpus(parse_records(path), registry).span, 5, 5, "sliding") == []
 
 
-def test_slice_validation(tmp_path):
-    rs = _span_corpus(tmp_path, [1986])
+def test_slice_validation():
     with pytest.raises(UsageError):
-        slice_windows(rs, 0, 5, "sliding")
+        slice_windows((1986, 1986), 0, 5, "sliding")
     with pytest.raises(UsageError):
-        slice_windows(rs, 5, 0, "sliding")
+        slice_windows((1986, 1986), 5, 0, "sliding")
     with pytest.raises(UsageError):
-        slice_windows(rs, 5, 5, "rolling")
+        slice_windows((1986, 1986), 5, 5, "rolling")
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +105,9 @@ def test_mean_degree_series_strictly_increasing(tmp_path, registry):
         {"id": "p5", "year": 1991, "countries": ["Russia", "France"]},
         {"id": "p6", "year": 1991, "countries": ["Germany", "France"]},
     ]
-    rs = _corpus(tmp_path, rows)
-    windows = slice_windows(rs, 5, 5, "sliding")
-    mean_degree = _column(metric_series(ResolvedCorpus(rs, registry), windows), "mean_degree")
+    corpus = ResolvedCorpus(_corpus(tmp_path, rows), registry)
+    windows = slice_windows(corpus.span, 5, 5, "sliding")
+    mean_degree = _column(metric_series(corpus, windows), "mean_degree")
     assert mean_degree[0] < mean_degree[1]
 
 
@@ -120,24 +116,22 @@ def test_diameter_series_constant_on_single_edges(tmp_path, registry):
         {"id": "p1", "year": 1986, "countries": ["Ukraine", "Russia"]},
         {"id": "p2", "year": 1991, "countries": ["France", "Japan"]},
     ]
-    rs = _corpus(tmp_path, rows)
-    windows = slice_windows(rs, 5, 5, "sliding")
-    series = metric_series(ResolvedCorpus(rs, registry), windows)
+    corpus = ResolvedCorpus(_corpus(tmp_path, rows), registry)
+    windows = slice_windows(corpus.span, 5, 5, "sliding")
+    series = metric_series(corpus, windows)
     assert _column(series, "diameter") == [1, 1]
 
 
 def test_metric_series_validation(tmp_path, registry):
     rs = _span_corpus(tmp_path, [1986, 1990])
-    windows = slice_windows(rs, 5, 5, "sliding")
     assert metric_series(ResolvedCorpus(rs, registry), []).rows == []
     with pytest.raises(UsageError):
         metric_series(ResolvedCorpus(rs, registry), [TimeWindow(1986, 1990), TimeWindow(1987, 1990)])
 
 
 def test_metric_series_summary_objects(tmp_path, registry):
-    rs = _span_corpus(tmp_path, [1986, 1992])
-    windows = slice_windows(rs, 5, 5, "sliding")
-    corpus = ResolvedCorpus(rs, registry)
+    corpus = ResolvedCorpus(_span_corpus(tmp_path, [1986, 1992]), registry)
+    windows = slice_windows(corpus.span, 5, 5, "sliding")
     series = metric_series(corpus, windows)
     assert series.windows == windows
     assert len(series.rows) == len(windows)
@@ -151,9 +145,8 @@ def test_metric_series_summary_objects(tmp_path, registry):
 def test_stepped_series_equals_per_window_summaries(tmp_path, registry, length, step):
     rng = random.Random(length * 10 + step)
     names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada", "Atlantis"]
-    rs = _corpus(tmp_path, synthetic_corpus_rows(rng, 300, names))
-    corpus = ResolvedCorpus(rs, registry)
-    windows = slice_windows(rs, length, step, "sliding")
+    corpus = ResolvedCorpus(_corpus(tmp_path, synthetic_corpus_rows(rng, 300, names)), registry)
+    windows = slice_windows(corpus.span, length, step, "sliding")
     shuffled = rng.sample(windows, len(windows))
     assert shuffled != windows
     series = metric_series(corpus, shuffled)
@@ -184,7 +177,7 @@ def test_sliding_windows_ignore_outside_records(tmp_path, registry):
 def test_cumulative_snapshots_nest(tmp_path):
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
     rs = _corpus(tmp_path, densifying_corpus_rows())
-    windows = slice_windows(rs, 5, 5, "cumulative")
+    windows = slice_windows(ResolvedCorpus(rs, registry).span, 5, 5, "cumulative")
     graphs = [build_network(rs, registry, w) for w in windows]
     for small, big in zip(graphs, graphs[1:]):
         assert set(small.codes()) <= set(big.codes())
@@ -199,9 +192,9 @@ def test_cumulative_snapshots_nest(tmp_path):
 
 def test_densifying_corpus_mean_degree_grows(tmp_path):
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
-    rs = _corpus(tmp_path, densifying_corpus_rows())
-    windows = slice_windows(rs, 5, 5, "cumulative")
-    mean_degree = _column(metric_series(ResolvedCorpus(rs, registry), windows), "mean_degree")
+    corpus = ResolvedCorpus(_corpus(tmp_path, densifying_corpus_rows()), registry)
+    windows = slice_windows(corpus.span, 5, 5, "cumulative")
+    mean_degree = _column(metric_series(corpus, windows), "mean_degree")
     for earlier, later in zip(mean_degree, mean_degree[1:]):
         assert later >= earlier
     assert mean_degree[0] < 2.0
@@ -315,32 +308,32 @@ def test_first_year_series_nondecreasing_and_total(tmp_path, registry):
     assert final_total == len(first)
 
 
-def test_discipline_series_multi_label(tmp_path):
+def test_discipline_series_multi_label(tmp_path, registry):
     rows = [{"id": "p1", "year": 1986, "subjects": ["Physics", "Medicine"]}]
-    series = discipline_series(_corpus(tmp_path, rows))
+    series = discipline_series(ResolvedCorpus(_corpus(tmp_path, rows), registry))
     assert series["Physics"] == {1986: 1}
     assert series["Medicine"] == {1986: 1}
 
 
-def test_discipline_series_empty(tmp_path):
+def test_discipline_series_empty(tmp_path, registry):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
-    assert discipline_series(parse_records(path)) == {}
+    assert discipline_series(ResolvedCorpus(parse_records(path), registry)) == {}
 
 
-def test_discipline_series_unclassified(tmp_path):
+def test_discipline_series_unclassified(tmp_path, registry):
     rows = [{"id": "p1", "year": 1986}]
-    series = discipline_series(_corpus(tmp_path, rows))
+    series = discipline_series(ResolvedCorpus(_corpus(tmp_path, rows), registry))
     assert series == {UNCLASSIFIED_SUBJECT: {1986: 1}}
 
 
-def test_discipline_series_local_maximum(tmp_path):
+def test_discipline_series_local_maximum(tmp_path, registry):
     rows = (
         [{"id": "a", "year": 1995, "subjects": ["Physics"]}]
         + [{"id": f"b{i}", "year": 1996, "subjects": ["Physics"]} for i in range(3)]
         + [{"id": "c", "year": 1997, "subjects": ["Physics"]}]
     )
-    series = discipline_series(_corpus(tmp_path, rows))
+    series = discipline_series(ResolvedCorpus(_corpus(tmp_path, rows), registry))
     physics = series["Physics"]
     assert physics[1996] > physics[1995]
     assert physics[1996] > physics[1997]

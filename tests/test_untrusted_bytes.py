@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coauthnet import CoauthorshipGraph, CountryRegistry, DataError, UsageError, parse_records
-from coauthnet.cli import _read_config
+from coauthnet.cli import _read_config, main
 from coauthnet.ingest import load_variants
+
+from conftest import FIXTURE_CORPUS
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12)
 _JSON = st.recursive(
@@ -67,3 +69,22 @@ def test_arbitrary_bytes_raise_only_data_or_usage_errors(tmp_path, reader, data)
         read(path)
     except (DataError, UsageError):
         pass
+
+
+@pytest.mark.parametrize(
+    "command, nested",
+    [("ingest", "input"), ("metrics", "graph.json"), ("build", "config.json")],
+    ids=["records-jsonl", "graph-json", "config-json"],
+)
+def test_deeply_nested_json_is_data_exit(tmp_path, capsys, command, nested):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "build":
+        assert main(["ingest", "--input", str(FIXTURE_CORPUS), "--out", str(out)]) == 0
+    path = tmp_path / "deep.jsonl" if nested == "input" else out / nested
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    capsys.readouterr()
+    args = ["--input", str(path)] if command == "ingest" else []
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
