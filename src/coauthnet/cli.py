@@ -333,7 +333,7 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
         r2 = densify_doc["r_squared"]
         r2_text = f"{r2:.3f}" if r2 is not None else "exact fit (2 points)"
         lines.append(f"- alpha: {densify_doc['alpha']:.3f}")
-        lines.append(f"- c: {densify_doc['c']:.4f}")
+        lines.append(f"- c: {densify_doc['c']:.4g}")
         lines.append(f"- r_squared: {r2_text}")
         lines.append(f"- points used: {densify_doc['points_used']} (excluded: {len(densify_doc['excluded'])})")
     lines.append("")
@@ -394,8 +394,8 @@ def main(argv=None) -> int:
         out.json("config.json", config)
         try:
             globals()[f"stage_{cfg.command}"](cfg, consumed, out)
-        except (UsageError, DataError, OSError):
-            # A failed command leaves only what the stages standing before it wrote.
+        except BaseException:
+            # A failed or interrupted command leaves only what the stages standing before it wrote.
             for name in invalidated:
                 (root / name).unlink(missing_ok=True)
             out.json("config.json", standing)

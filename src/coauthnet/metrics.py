@@ -48,50 +48,19 @@ O(n^2) array work per queue position and O(n^3) per BFS level instead of
 O(n m) interpreter steps: a win on dense country graphs, a loss on long
 sparse chains with many levels.
 
-numpy is imported lazily: `np` here and in temporal is a module object
-from `lazy_import` (the importlib.util.LazyLoader recipe) that executes
-numpy on its first attribute access, the first kernel call. The import
-costs about 175 ms per process, and the CLI runs each stage as its own
-process: `ingest`, `build` and `export` never reach a kernel and run
-without numpy, while `metrics`, `slice`, `densify` and `report` load it on
-first use. Any attribute lookup on `np` loads numpy, even the `__class__`
-lookup behind isinstance(np, T). Python 3.11's LazyLoader is safe only when the first access
-comes from a single thread (3.12 adds a lock). The package starts no
-threads of its own, and the thread rule above keeps even the BLAS's
-threads out, so the first access always comes from the calling thread.
+numpy is imported inside the functions that touch an array, never at module
+level, so `ingest`, `build` and `export` never load it.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
-import sys
 from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import CoauthorshipGraph, basic_stats
 
-
-def lazy_import(name: str):
-    """The module `name`, executed on its first attribute access (importlib.util.LazyLoader).
-
-    Returns sys.modules[name] when the module is already there, loaded or
-    still lazy, so every caller shares one module object.
-    """
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        if spec is None:
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-np = lazy_import("numpy")
 
 CLUSTERING_MODES = ("exclude_low_degree", "zero_low_degree")
 DEFAULT_CLUSTERING_MODE = "exclude_low_degree"
@@ -106,6 +75,7 @@ class _Geodesics:
     """
 
     def __init__(self, adj: np.ndarray):
+        import numpy as np
         n = len(adj)
         a = adj.astype(np.float32)
         self.degree = adj.sum(axis=1)
@@ -128,6 +98,7 @@ class _Geodesics:
 
     def giant(self) -> np.ndarray:
         """Indices of the largest component (smallest-root component wins ties)."""
+        import numpy as np
         if not len(self.root):
             return self.root
         return np.flatnonzero(self.root == np.bincount(self.root).argmax())
@@ -151,6 +122,7 @@ def _geodesics(g: CoauthorshipGraph) -> _Geodesics:
     The boolean adjacency matrix is filled by one store at the flat indices
     i * n + j of every node i's neighbours j, read in no particular order.
     """
+    import numpy as np
     geo = vars(g).get("_geodesics")
     if geo is None:
         codes = g.codes()
@@ -207,6 +179,7 @@ def path_stats(g: CoauthorshipGraph) -> PathStats:
     diameter is the longest finite geodesic, with every realizing pair
     reported.
     """
+    import numpy as np
     codes = g.codes()
     upper = np.triu(_geodesics(g).dist, 1)
     total = int(upper.sum(dtype=np.int64))
@@ -231,6 +204,7 @@ def betweenness(g: CoauthorshipGraph) -> dict[str, float]:
     Accumulation follows the Brandes single-source scheme in ascending code
     order, for all sources at once (see the module docstring).
     """
+    import numpy as np
     codes = g.codes()
     n = len(codes)
     if n < 3:
@@ -290,6 +264,7 @@ def closeness(g: CoauthorshipGraph) -> dict[str, float]:
     Farness sums distances to all other members of the component; isolated
     nodes get 0 by convention.
     """
+    import numpy as np
     farness = _geodesics(g).dist.sum(axis=1, dtype=np.int64).tolist()
     return {code: 1.0 / f if f > 0 else 0.0 for code, f in zip(g.codes(), farness)}
 
@@ -356,6 +331,7 @@ def random_edge_set(n: int, m: int, rng: random.Random) -> np.ndarray:
     keys collide, which has probability below total^2 / 2^65 (about 7e-13 at
     n = 100).
     """
+    import numpy as np
     total = n * (n - 1) // 2
     if m > total:
         raise UsageError(f"cannot place {m} edges on {n} nodes (max {total})")
@@ -382,6 +358,7 @@ class SmallWorldReport:
 
 def _giant_metrics(geo: _Geodesics, clustering_mode: str) -> tuple[float, float]:
     """Mean path length and average clustering of the giant component."""
+    import numpy as np
     members = geo.giant()
     size = len(members)
     pairs = size * (size - 1) // 2
@@ -410,6 +387,7 @@ def small_world(
     s). sigma is inf when the baseline clustering averages to zero while
     the graph's does not, and nan when both vanish.
     """
+    import numpy as np
     if samples < 1:
         raise UsageError("samples must be >= 1")
     if seed < 0:

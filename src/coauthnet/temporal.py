@@ -10,9 +10,7 @@ from dataclasses import dataclass, field
 from .countries import REGIONS
 from .errors import UsageError
 from .graph import ResolvedCorpus, TimeWindow
-from .metrics import DEFAULT_CLUSTERING_MODE, lazy_import, summary
-
-np = lazy_import("numpy")
+from .metrics import DEFAULT_CLUSTERING_MODE, summary
 
 WINDOW_MODES = ("sliding", "cumulative")
 
@@ -113,16 +111,19 @@ def loglog_fit(points) -> LogLogFit:
 
     Two points determine the line exactly; r_squared is then reported as None.
     """
+    import numpy as np
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise UsageError("need at least 2 points for a log-log fit")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise UsageError("log-log fit requires strictly positive coordinates")
+    if len({x for x, _ in pts}) < 2:
+        raise UsageError("all x values coincide; the exponent is undefined")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     x_var = float(np.sum((lx - lx.mean()) ** 2))
     if x_var == 0.0:
-        raise UsageError("all x values coincide; the exponent is undefined")
+        raise UsageError("distinct x values share one logarithm; the exponent is undefined")
     slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / x_var)
     intercept = float(ly.mean() - slope * lx.mean())
     if len(pts) == 2:

@@ -408,6 +408,8 @@ def test_report_bytes_on_criterion_9_corpus(tmp_path, capsys, registry):
     assert run("report", "--input", corpus, "--out", out) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CRITERION_9_DIGESTS}
     assert digests == CRITERION_9_DIGESTS
+    # Every cumulative snapshot holds all 100 countries: one node count has no exponent.
+    assert "skipped" in json.loads((out / "densification.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +506,24 @@ def test_malformed_config_json_is_data_exit(tmp_path, capsys, content):
     assert _tree_bytes(out) == before
 
 
-def test_interrupted_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()], ids=["OSError", "KeyboardInterrupt"])
+def test_interrupted_write_leaves_no_file(tmp_path, capsys, monkeypatch, error):
     out = tmp_path / "out"
     assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
 
     def half_save(graph, path):
         text = graph.to_json()
         Path(path).write_text(text[: len(text) // 2], encoding="utf-8")
-        raise OSError("disk full")
+        raise error
 
     monkeypatch.setattr(CoauthorshipGraph, "save", half_save)
-    assert run("build", "--out", out) == 2
-    assert "disk full" in capsys.readouterr().err
+    if isinstance(error, OSError):
+        assert run("build", "--out", out) == 2
+        assert "disk full" in capsys.readouterr().err
+    else:
+        # Not an error of the command: the cleanup runs and the interrupt propagates.
+        with pytest.raises(KeyboardInterrupt):
+            run("build", "--out", out)
     assert sorted(p.name for p in out.iterdir()) == ["config.json", "coverage.json", "records.jsonl"]
     assert list(json.loads((out / "config.json").read_text())) == ["ingest"]
 

@@ -23,8 +23,7 @@ from conftest import synthetic_corpus_rows, write_jsonl
 SRC = Path(coauthnet.__file__).resolve().parent.parent
 
 # Runs each argv through coauthnet.cli.main, then prints, as the last stdout
-# line, whether any numpy module was executed and which package modules
-# are loaded. A lazy numpy stub sits in sys.modules under "numpy" alone.
+# line, whether numpy was imported and which package modules are loaded.
 PROBE = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -32,7 +31,7 @@ import coauthnet.cli
 for argv in {runs!r}:
     assert coauthnet.cli.main(argv) == 0, argv
 print(json.dumps({{
-    "numpy": any(name.startswith("numpy.") for name in sys.modules),
+    "numpy": "numpy" in sys.modules,
     "package": sorted(name for name in sys.modules if name.startswith("coauthnet.")),
 }}))
 """
@@ -62,6 +61,21 @@ def report_tree(tmp_path_factory, registry):
 
 def test_cli_import_loads_no_numpy():
     assert probe([])["numpy"] is False
+
+
+def test_bench_tracer_install_loads_no_numpy():
+    # The tracer looks at every global of every package module when it wraps them.
+    tracer = SRC.parent / "bench" / "tracer.py"
+    code = f"""
+import runpy, sys
+sys.path.insert(0, {str(SRC)!r})
+tracer = runpy.run_path({str(tracer)!r})
+tracer["install"](tracer["Tracer"]())
+print("numpy" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_loads_every_package_module():

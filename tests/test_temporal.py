@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coauthnet import (
     CountryRegistry,
@@ -239,6 +241,17 @@ def test_fit_needs_two_usable_points():
         loglog_fit([(2, 1)])
     with pytest.raises(UsageError):
         loglog_fit([(0, 1), (2, 1)])
+
+
+@given(
+    n=st.integers(min_value=2, max_value=10**6),
+    ms=st.lists(st.integers(min_value=1, max_value=10**9), min_size=2, max_size=40),
+)
+@example(n=100, ms=[2453] * 6)
+def test_fit_of_one_node_count_is_skipped(n, ms):
+    # The log of n repeated can average 1 ulp off ln n, so the check must come before the logs.
+    with pytest.raises(UsageError, match="coincide"):
+        densification_fit([(n, m) for m in ms])
 
 
 def test_fit_to_dict_shape():
