@@ -29,7 +29,7 @@ from .errors import DataError, UsageError
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
-from .metrics import CLUSTERING_MODES, centrality_table, degree_distribution, histogram_rows, is_clique
+from .metrics import CLUSTERING_MODES, centrality_table, degree_distribution, is_clique
 from .metrics import small_world, summary, top_k_by_degree
 from .temporal import WINDOW_MODES, densification_fit, densification_snapshots, discipline_series
 from .temporal import first_year_series, metric_series, slice_windows
@@ -218,7 +218,7 @@ def stage_metrics(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: Output
     out.json("summary.json", vars(graph_summary))
     table = centrality_table(graph, cfg.clustering_mode)
     out.json("centrality.json", table)
-    out.json("degree_histogram.json", histogram_rows(degree_distribution(graph)))
+    out.json("degree_histogram.json", degree_distribution(graph))
     sw_doc = _smallworld_doc(graph, cfg)
     out.json("smallworld.json", sw_doc)
     return {"summary": graph_summary, "centrality": table, "smallworld": sw_doc}

@@ -9,17 +9,17 @@ are never remapped onto successor states.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, csv_rows, not_utf8
 
 REGIONS = ("Europe", "Asia", "NorthAmerica", "SouthAmerica", "Africa", "Oceania")
 
 _CODE_RE = re.compile(r"[A-Z]{2,3}")
+_CSV_FIELDS = ("code", "display_name", "region", "historic", "aliases")
 
 
 def is_country_code(code: str) -> bool:
@@ -80,9 +80,6 @@ class CountryRegistry:
     def __iter__(self):
         return iter(self._entries.values())
 
-    def __contains__(self, code: str) -> bool:
-        return code in self._entries
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountryRegistry":
         """Load a registry from CSV: code,display_name,region,historic,aliases.
@@ -92,30 +89,26 @@ class CountryRegistry:
         entries = []
         try:
             with open(path, encoding="utf-8", newline="") as fh:
-                reader = csv.DictReader(fh)
-                expected = {"code", "display_name", "region", "historic", "aliases"}
-                if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-                    raise DataError(f"registry header must contain {sorted(expected)}")
-                for lineno, row in enumerate(reader, start=2):
-                    historic_raw = (row["historic"] or "").strip().casefold()
+                for lineno, row in csv_rows(fh, _CSV_FIELDS, "registry"):
+                    historic_raw = row["historic"].strip().casefold()
                     if historic_raw in ("true", "1", "yes"):
                         historic = True
                     elif historic_raw in ("false", "0", "no", ""):
                         historic = False
                     else:
                         raise DataError(f"bad historic flag {row['historic']!r}", line=lineno)
-                    aliases = tuple(a.strip() for a in (row["aliases"] or "").split(";") if a.strip())
+                    aliases = tuple(a.strip() for a in row["aliases"].split(";") if a.strip())
                     entries.append(
                         CountryEntry(
-                            code=(row["code"] or "").strip().upper(),
-                            display_name=(row["display_name"] or "").strip(),
-                            region=(row["region"] or "").strip(),
+                            code=row["code"].strip().upper(),
+                            display_name=row["display_name"].strip(),
+                            region=row["region"].strip(),
                             historic=historic,
                             aliases=aliases,
                         )
                     )
         except UnicodeDecodeError as exc:
-            raise DataError(f"registry file {path} is not valid UTF-8: {exc}") from exc
+            raise not_utf8(path, "registry file ") from exc
         return cls(entries)
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the readers' helpers that
+turn a decoding failure into a DataError naming its line."""
+
+import csv
+from pathlib import Path
 
 
 class UsageError(ValueError):
@@ -13,3 +17,38 @@ class DataError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def not_utf8(path: str | Path, what: str = "") -> DataError:
+    """The DataError for a file whose UTF-8 decode failed, naming its first bad
+    line: the error path re-reads the bytes and decodes them line by line, as a
+    newline byte never occurs inside a UTF-8 sequence."""
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"{what}{path} is not valid UTF-8 at column {exc.start + 1} ({exc.reason})", line=line)
+    return DataError(f"{what}{path} is not valid UTF-8")
+
+
+def csv_rows(fh, fields: tuple[str, ...], what: str):
+    """Yield (line the row starts on, cells by header name, "" for a missing field)
+    per non-blank data row of the CSV text `fh`. DataError for a header without
+    `fields`, and, naming its line, for a row the csv module rejects."""
+    reader = csv.reader(fh)
+    header = None
+    while True:
+        line = reader.line_num + 1  # before next(), which may count lines of the row it rejects
+        try:
+            cells = next(reader, None)
+        except csv.Error as exc:
+            raise DataError(f"unreadable CSV row: {exc}", line=line) from exc
+        if header is None:
+            header = cells or []
+            if not set(fields).issubset(header):
+                raise DataError(f"{what} header must contain {list(fields)}", line=1)
+        elif cells is None:
+            return
+        elif cells:
+            yield line, dict.fromkeys(fields, "") | dict(zip(header, cells))

@@ -1,5 +1,5 @@
 """Country-level coauthorship graph: the resolved corpus (it holds the year
-buckets, not the records), graph construction, basic stats, subgraphs.
+buckets, not the records), graph construction, subgraphs.
 
 The graph is undirected, simple and weighted: two countries are linked when
 they appear together in the affiliation country list of at least one record
@@ -16,7 +16,7 @@ from itertools import permutations
 from pathlib import Path
 
 from .countries import REGIONS, CountryRegistry, is_country_code
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, not_utf8
 from .ingest import CoverageStats, RecordSet, coverage_stats
 
 
@@ -198,7 +198,7 @@ class CoauthorshipGraph:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
+            raise not_utf8(path) from exc
         return cls.from_json(text)
 
 
@@ -347,36 +347,6 @@ def build_network(
 ) -> CoauthorshipGraph:
     """Build the coauthorship graph for records inside the window (see ResolvedCorpus)."""
     return ResolvedCorpus(rs, registry).graph(window)
-
-
-@dataclass
-class BasicStats:
-    n: int
-    m: int
-    density: float
-    mean_degree: float
-    max_degree: int
-    max_degree_codes: list[str]
-    degree: dict[str, int]
-
-
-def basic_stats(g: CoauthorshipGraph) -> BasicStats:
-    """Node/link counts, density 2m/(n(n-1)), mean and max degree."""
-    degree = g.degrees()
-    n, m = g.n, g.m
-    density = (2 * m) / (n * (n - 1)) if n >= 2 else 0.0
-    mean_degree = (2 * m) / n if n else 0.0
-    max_degree = max(degree.values(), default=0)
-    argmax = sorted(c for c, d in degree.items() if d == max_degree) if n else []
-    return BasicStats(
-        n=n,
-        m=m,
-        density=density,
-        mean_degree=mean_degree,
-        max_degree=max_degree,
-        max_degree_codes=argmax,
-        degree=degree,
-    )
 
 
 def induced_subgraph(g: CoauthorshipGraph, keep) -> CoauthorshipGraph:

@@ -8,12 +8,11 @@ written; resolution to canonical codes happens later, in graph.ResolvedCorpus.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, csv_rows, not_utf8
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -110,31 +109,19 @@ def _parse_jsonl(path: Path) -> list[tuple[PublicationRecord, int]]:
     return out
 
 
-def _split_cell(cell: str) -> list[str]:
-    return [part for part in (cell or "").split(";") if part.strip()]
-
-
 def _parse_csv(path: Path) -> list[tuple[PublicationRecord, int]]:
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(_FIELDS).issubset(reader.fieldnames):
-            raise DataError(f"CSV header must contain {list(_FIELDS)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            year_raw = (row.get("year") or "").strip()
+        for lineno, row in csv_rows(fh, _FIELDS, "CSV"):
+            year_raw = row["year"].strip()
             if not year_raw:
                 raise DataError("missing year", line=lineno)
             try:
                 year: object = int(year_raw)
             except ValueError:
                 raise DataError(f"year {year_raw!r} is not an integer", line=lineno) from None
-            obj = {
-                "id": (row.get("id") or "").strip(),
-                "year": year,
-                "text": row.get("text") or "",
-                "countries": _split_cell(row.get("countries") or ""),
-                "subjects": _split_cell(row.get("subjects") or ""),
-            }
+            lists = {name: row[name].split(";") for name in ("countries", "subjects")}
+            obj = {**row, "id": row["id"].strip(), "year": year, **lists}
             out.append((_record_from_fields(obj, lineno), lineno))
     return out
 
@@ -154,7 +141,7 @@ def parse_records(path: str | Path, fmt: str = "jsonl") -> RecordSet:
         else:
             raise UsageError(f"unknown input format {fmt!r} (expected jsonl or csv)")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
+        raise not_utf8(path) from exc
     seen: dict[str, int] = {}
     for record, lineno in rows:
         if record.id in seen:
@@ -218,7 +205,7 @@ def load_variants(path: str | Path) -> tuple[str, ...]:
                 if term:
                     variants.append(term)
     except UnicodeDecodeError as exc:
-        raise DataError(f"variants file {path} is not valid UTF-8: {exc}") from exc
+        raise not_utf8(path, "variants file ") from exc
     if not variants:
         raise DataError(f"variants file {path} contains no terms")
     return tuple(variants)

@@ -59,7 +59,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .graph import CoauthorshipGraph, basic_stats
+from .graph import CoauthorshipGraph
 
 
 CLUSTERING_MODES = ("exclude_low_degree", "zero_low_degree")
@@ -280,22 +280,12 @@ def clustering(g: CoauthorshipGraph, mode: str = DEFAULT_CLUSTERING_MODE) -> tup
     return dict(zip(g.codes(), terms)), _average(terms)
 
 
-@dataclass
-class DegreeHistogram:
-    counts: dict[int, int]
-    probabilities: dict[int, float]
-
-
-def degree_distribution(g: CoauthorshipGraph) -> DegreeHistogram:
+def degree_distribution(g: CoauthorshipGraph) -> list[dict]:
+    """Degree histogram rows in ascending degree: degree, count and probability count / n."""
     counts: dict[int, int] = {}
     for d in g.degrees().values():
         counts[d] = counts.get(d, 0) + 1
-    counts = dict(sorted(counts.items()))
-    n = g.n
-    return DegreeHistogram(
-        counts=counts,
-        probabilities={k: c / n for k, c in counts.items()} if n else {},
-    )
+    return [{"degree": k, "count": c, "probability": c / g.n} for k, c in sorted(counts.items())]
 
 
 def is_clique(g: CoauthorshipGraph, nodes) -> bool:
@@ -452,18 +442,19 @@ class GraphSummary:
 def summary(g: CoauthorshipGraph, clustering_mode: str = DEFAULT_CLUSTERING_MODE) -> GraphSummary:
     """One-stop structural report: counts, density, degrees, geodesics,
     clustering, isolated-node and giant-component shares."""
-    stats = basic_stats(g)
+    degree = g.degrees()
+    n, m = g.n, g.m
+    max_degree = max(degree.values(), default=0)
     part = components(g)
     paths = path_stats(g)
     _, avg_clust = clustering(g, clustering_mode)
-    n = stats.n
     return GraphSummary(
         n=n,
-        m=stats.m,
-        density=stats.density,
-        mean_degree=stats.mean_degree,
-        max_degree=stats.max_degree,
-        max_degree_codes=stats.max_degree_codes,
+        m=m,
+        density=(2 * m) / (n * (n - 1)) if n >= 2 else 0.0,
+        mean_degree=(2 * m) / n if n else 0.0,
+        max_degree=max_degree,
+        max_degree_codes=sorted(c for c, d in degree.items() if d == max_degree),
         diameter=paths.diameter,
         diameter_endpoints=paths.diameter_endpoints,
         mean_path_length=paths.mean_path_length,
@@ -492,11 +483,4 @@ def centrality_table(g: CoauthorshipGraph, clustering_mode: str = DEFAULT_CLUSTE
             "local_clustering": local[code],
         }
         for code in g.codes()
-    ]
-
-
-def histogram_rows(h: DegreeHistogram) -> list[dict]:
-    return [
-        {"degree": k, "count": h.counts[k], "probability": h.probabilities[k]}
-        for k in sorted(h.counts)
     ]

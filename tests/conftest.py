@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from coauthnet import builtin_registry, graph_from_edges
+from coauthnet import builtin_registry
+from coauthnet.graph import graph_from_edges
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 FIXTURE_CORPUS = DATA_DIR / "fixture_corpus.jsonl"

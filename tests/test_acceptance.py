@@ -6,25 +6,12 @@ import random
 import shutil
 import time
 
-from coauthnet import (
-    LayoutSpec,
-    basic_stats,
-    betweenness,
-    builtin_registry,
-    closeness,
-    clustering,
-    components,
-    densification_fit,
-    graph_from_edges,
-    path_stats,
-    read_dot,
-    read_pajek,
-    small_world,
-    write_dot,
-    write_pajek,
-)
+from coauthnet import builtin_registry, summary
 from coauthnet.cli import main
-from coauthnet.metrics import random_edge_set
+from coauthnet.export import LayoutSpec, read_dot, read_pajek, write_dot, write_pajek
+from coauthnet.graph import graph_from_edges
+from coauthnet.metrics import betweenness, closeness, clustering, components, path_stats, random_edge_set, small_world
+from coauthnet.temporal import densification_fit
 
 from bruteforce import (
     oracle_betweenness,
@@ -55,7 +42,7 @@ def _finish(number: int, label: str, t0: float, budget: float) -> None:
 def test_criterion_1_reference_graph_suite():
     t0 = time.monotonic()
     g = graph_from_edges(FIXTURE_EDGES)
-    stats = basic_stats(g)
+    stats = summary(g)
     assert stats.n == 8
     assert stats.m == 11
     assert abs(stats.density - 11 / 28) <= 1e-12
@@ -89,7 +76,7 @@ def test_criterion_2_summary_arithmetic_identities():
     rng = random.Random(2)
     labels = [f"C{i:03d}" for i in range(97)]
     edges = [(labels[i], labels[j]) for i, j in rank_pairs(97, random_edge_set(97, 761, rng))]
-    stats = basic_stats(graph_from_edges(edges, nodes=labels))
+    stats = summary(graph_from_edges(edges, nodes=labels))
     assert round(stats.density, 2) == 0.16
     assert round(stats.mean_degree, 1) == 15.7
     _finish(2, "summary arithmetic identities", t0, 1.0)
@@ -146,7 +133,8 @@ def test_criterion_4_densification_recovery():
 
 def test_criterion_5_cumulative_monotonicity(tmp_path):
     t0 = time.monotonic()
-    from coauthnet import CountryRegistry, ResolvedCorpus, build_network, parse_records, slice_windows, summary
+    from coauthnet import CountryRegistry, ResolvedCorpus, parse_records, slice_windows, summary
+    from coauthnet.graph import build_network
 
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
     corpus = write_jsonl(tmp_path / "corpus.jsonl", densifying_corpus_rows(30))

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coauthnet import CoauthorshipGraph, read_pajek
+from coauthnet import CoauthorshipGraph
 from coauthnet.cli import main
+from coauthnet.export import read_pajek
 
 from conftest import FIXTURE_CORPUS, synthetic_corpus_rows, write_jsonl
 
@@ -330,19 +331,19 @@ def test_sw_samples_and_seed_flags(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, content",
+    "flag, content, line",
     [
-        ("--variants", b"\xff\xfechernobyl\n"),
-        ("--registry", b"code,display_name,region,historic,aliases\nAUT,Aus\xfftria,Europe,false,\n"),
+        ("--variants", b"\xff\xfechernobyl\n", 1),
+        ("--registry", b"code,display_name,region,historic,aliases\nAUT,Aus\xfftria,Europe,false,\n", 2),
     ],
     ids=["variants", "registry"],
 )
-def test_non_utf8_side_file_is_data_exit(tmp_path, capsys, flag, content):
+def test_non_utf8_side_file_is_data_exit(tmp_path, capsys, flag, content, line):
     side = tmp_path / "side.txt"
     side.write_bytes(content)
     assert run("ingest", "--input", FIXTURE_CORPUS, flag, side, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "data error" in err and str(side) in err
+    assert err.startswith(f"data error: line {line}: ") and str(side) in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -469,6 +470,26 @@ def test_build_with_another_registry_drops_the_metrics(tmp_path, capsys):
     )
     assert sorted(json.loads((out / "config.json").read_text())) == ["build", "densify", "ingest", "slice"]
     assert json.loads((out / "config.json").read_text())["build"] == {"registry": str(registry)}
+
+
+@pytest.mark.parametrize("which", ["records-csv", "registry"])
+def test_csv_cell_over_field_limit_is_data_exit(tmp_path, capsys, which):
+    # The csv module's default field size limit is 131,072 characters.
+    side = tmp_path / "side.csv"
+    if which == "records-csv":
+        side.write_text(f"id,year,text,countries,subjects\np1,1986,{'x' * 200_000},,\n", encoding="utf-8")
+        args = ["--format", "csv", "--input", side]
+    else:
+        aliases = "a" * 140_000
+        side.write_text(f"code,display_name,region,historic,aliases\nAUT,Austria,Europe,false,{aliases}\n", encoding="utf-8")
+        args = ["--input", FIXTURE_CORPUS, "--registry", side]
+    out = tmp_path / "out"
+    assert run("ingest", *args, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2")
+    assert "Traceback" not in err
+    left = {p.name: json.loads(p.read_text()) for p in out.iterdir()} if out.exists() else {}
+    assert left in ({}, {"config.json": {}})
 
 
 def test_non_utf8_graph_json_is_data_exit(tmp_path, capsys):

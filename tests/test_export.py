@@ -7,25 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coauthnet import (
-    REGIONS,
-    DataError,
+from coauthnet import DataError, TimeWindow, UsageError
+from coauthnet.countries import REGIONS
+from coauthnet.export import (
+    EDGE_W_MAX,
+    EDGE_W_MIN,
+    R_MAX,
+    R_MIN,
     LayoutSpec,
-    TimeWindow,
-    UsageError,
-    WindowSeries,
     compute_layout,
     emit_series,
-    graph_from_edges,
+    escape,
     read_dot,
     read_pajek,
     render_network_svg,
     write_dot,
     write_pajek,
 )
-from coauthnet.export import EDGE_W_MAX, EDGE_W_MIN, R_MAX, R_MIN, escape
-from coauthnet.graph import CoauthorshipGraph, NodeAttr
-from coauthnet.temporal import SUMMARY_SELECTORS
+from coauthnet.graph import CoauthorshipGraph, NodeAttr, graph_from_edges
+from coauthnet.temporal import SUMMARY_SELECTORS, WindowSeries
 
 from conftest import FIXTURE_EDGES, random_edges
 
@@ -178,7 +178,7 @@ def test_center_top_k_inner_nodes():
         x, y = layout.positions[code]
         return math.hypot(x - center[0], y - center[1])
 
-    from coauthnet import top_k_by_degree
+    from coauthnet.metrics import top_k_by_degree
 
     inner = set(top_k_by_degree(g, 2))
     assert inner == {"S", "L0"}
@@ -315,7 +315,7 @@ def test_emit_series_discipline_example():
 
 
 def test_emit_series_region_column_order():
-    from coauthnet import REGIONS
+    from coauthnet.countries import REGIONS
 
     series = {region: {1986: 0} for region in REGIONS}
     csv_text, _ = emit_series(series, columns=list(REGIONS))

@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 from coauthnet import (
     CoauthorshipGraph,
     DataError,
-    NodeAttr,
     ResolvedCorpus,
     TimeWindow,
     UsageError,
-    basic_stats,
-    build_network,
-    graph_from_edges,
-    induced_subgraph,
     parse_records,
     slice_windows,
+    summary,
 )
-from coauthnet.graph import UNCLASSIFIED_SUBJECT
+from coauthnet.graph import UNCLASSIFIED_SUBJECT, NodeAttr, build_network, graph_from_edges, induced_subgraph
 from coauthnet.ingest import PublicationRecord, RecordSet
 from coauthnet.temporal import densification_snapshots, discipline_series
 
@@ -111,7 +107,7 @@ def test_window_validation():
 
 
 def test_basic_stats_reference_graph(fixture_graph):
-    st = basic_stats(fixture_graph)
+    st = summary(fixture_graph)
     assert st.n == 8
     assert st.m == 11
     assert abs(st.density - 11 / 28) < 1e-12
@@ -122,17 +118,17 @@ def test_basic_stats_reference_graph(fixture_graph):
 
 def test_basic_stats_complete_graph():
     k4 = graph_from_edges(list(combinations("WXYZ", 2)))
-    st = basic_stats(k4)
+    st = summary(k4)
     assert st.density == 1.0
     assert st.mean_degree == 3.0
 
 
 def test_basic_stats_degenerate():
     empty = graph_from_edges([], nodes=[])
-    assert basic_stats(empty).density == 0.0
+    assert summary(empty).density == 0.0
     single = graph_from_edges([], nodes=["A"])
-    assert basic_stats(single).density == 0.0
-    assert basic_stats(single).mean_degree == 0.0
+    assert summary(single).density == 0.0
+    assert summary(single).mean_degree == 0.0
 
 
 def test_degree_sum_and_symmetry_on_built_graphs(tmp_path, registry):

@@ -4,16 +4,8 @@ import random
 
 import pytest
 
-from coauthnet import (
-    DataError,
-    ResolvedCorpus,
-    UsageError,
-    coverage_stats,
-    filter_topic,
-    parse_records,
-    write_records_jsonl,
-)
-from coauthnet.ingest import load_variants
+from coauthnet import DataError, ResolvedCorpus, UsageError, filter_topic, parse_records
+from coauthnet.ingest import coverage_stats, load_variants, write_records_jsonl
 
 from conftest import synthetic_corpus_rows, write_jsonl
 
@@ -112,6 +104,14 @@ def test_parse_non_utf8_is_data_error(tmp_path):
     path.write_bytes('{"id": "p1", "year": 1990, "text": "caf\xe9"}\n'.encode("latin-1"))
     with pytest.raises(DataError, match="UTF-8"):
         parse_records(path)
+    # Past the first 8 KiB the decoder's position is an offset into a chunk;
+    # the error names the file's line instead.
+    good = b"".join(b'{"id": "p%d", "year": 1990, "text": "cafe"}\n' % i for i in range(1500))
+    assert len(good) > 8192
+    path.write_bytes(good + b'{"id": "bad", "year": 1990, "text": "caf\xff"}\n')
+    with pytest.raises(DataError, match=r"^line 1501: .* is not valid UTF-8 at column 41 ") as info:
+        parse_records(path)
+    assert info.value.line == 1501
 
 
 def test_parse_csv_with_semicolon_lists(tmp_path):
@@ -131,6 +131,10 @@ def test_parse_csv_missing_year_names_line(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("id,year,text,countries,subjects\np1,,x,,\n", encoding="utf-8")
     with pytest.raises(DataError, match="line 2"):
+        parse_records(path, "csv")
+    # A quoted cell spanning lines 2-4 puts the next row on line 5, not row 3.
+    path.write_text('id,year,text,countries,subjects\np1,1986,"a\nb\nc",,\np2,,x,,\n', encoding="utf-8")
+    with pytest.raises(DataError, match="^line 5: missing year"):
         parse_records(path, "csv")
 
 

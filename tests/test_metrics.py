@@ -8,26 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coauthnet import (
-    ResolvedCorpus,
-    UsageError,
+from coauthnet import ResolvedCorpus, UsageError, parse_records, slice_windows, summary
+from coauthnet.graph import build_network, graph_from_edges
+from coauthnet.metrics import (
+    _geodesics,
     betweenness,
-    build_network,
     centrality_table,
     closeness,
     clustering,
     components,
     degree_distribution,
-    graph_from_edges,
     is_clique,
-    parse_records,
     path_stats,
-    slice_windows,
+    random_edge_set,
     small_world,
-    summary,
     top_k_by_degree,
 )
-from coauthnet.metrics import _geodesics, random_edge_set
 
 from bruteforce import (
     oracle_betweenness,
@@ -368,25 +364,27 @@ def test_clustering_unknown_mode():
 
 
 def test_degree_distribution_star():
-    hist = degree_distribution(star_graph(3))
-    assert hist.probabilities == {1: 0.75, 3: 0.25}
+    assert degree_distribution(star_graph(3)) == [
+        {"degree": 1, "count": 3, "probability": 0.75},
+        {"degree": 3, "count": 1, "probability": 0.25},
+    ]
 
 
 def test_degree_distribution_cycle():
     c5 = graph_from_edges([(f"N{i}", f"N{(i + 1) % 5}") for i in range(5)])
-    assert degree_distribution(c5).probabilities == {2: 1.0}
+    assert degree_distribution(c5) == [{"degree": 2, "count": 5, "probability": 1.0}]
 
 
 def test_degree_distribution_reference_graph(fixture_graph):
-    hist = degree_distribution(fixture_graph)
-    assert hist.counts == {1: 1, 2: 2, 3: 3, 4: 2}
+    rows = degree_distribution(fixture_graph)
+    assert [(row["degree"], row["count"]) for row in rows] == [(1, 1), (2, 2), (3, 3), (4, 2)]
 
 
 def test_degree_probabilities_sum_to_one():
     rng = random.Random(17)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 12), rng.random())
-        assert abs(sum(degree_distribution(g).probabilities.values()) - 1.0) <= 1e-12
+        assert abs(sum(row["probability"] for row in degree_distribution(g)) - 1.0) <= 1e-12
 
 
 def test_is_clique():

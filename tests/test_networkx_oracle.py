@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from coauthnet import betweenness, closeness, clustering, components, graph_from_edges, path_stats, small_world
-from coauthnet.metrics import random_edge_set
+from coauthnet.graph import graph_from_edges
+from coauthnet.metrics import betweenness, closeness, clustering, components, path_stats, random_edge_set, small_world
 
 from conftest import random_edges, rank_pairs
 

@@ -4,23 +4,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coauthnet import (
-    CountryRegistry,
-    ResolvedCorpus,
-    TimeWindow,
-    UsageError,
-    build_network,
+from coauthnet import CountryRegistry, ResolvedCorpus, TimeWindow, UsageError, parse_records, slice_windows, summary
+from coauthnet.graph import UNCLASSIFIED_SUBJECT, build_network
+from coauthnet.temporal import (
+    SUMMARY_SELECTORS,
     densification_fit,
+    densification_snapshots,
     discipline_series,
     first_year_series,
     loglog_fit,
     metric_series,
-    parse_records,
-    slice_windows,
-    summary,
 )
-from coauthnet.graph import UNCLASSIFIED_SUBJECT
-from coauthnet.temporal import SUMMARY_SELECTORS, densification_snapshots
 
 from conftest import densifying_corpus_rows, densifying_registry_csv, synthetic_corpus_rows, write_jsonl
 

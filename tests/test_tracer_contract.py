@@ -6,17 +6,20 @@ a removed parameter would silently turn a per-layer metric into "absent".
 The tracer is read from its file and never installed here.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import runpy
 from pathlib import Path
 
-from coauthnet import RecordSet, cli, graph_from_edges, metrics
+from coauthnet import RecordSet, cli, metrics
+from coauthnet.graph import graph_from_edges
 
 from conftest import FIXTURE_CORPUS
 
-TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = runpy.run_path(str(BENCH / "tracer.py"))
 
 
 def _resolve(module_name, attr):
@@ -80,3 +83,18 @@ def test_main_reaches_every_stage_through_its_module_attribute(tmp_path, monkeyp
         extra = ["--input", str(FIXTURE_CORPUS)] if command in ("ingest", "report") else []
         assert cli.main([command, *extra, "--sw-samples", "2", "--out", str(out)]) == 0
         assert calls == (["report", *commands[:-1]] if command == "report" else [command]), command
+
+
+def test_every_package_import_of_the_bench_resolves():
+    # bench/ imports package names at module and function level; a name the
+    # package stops exporting would break a function-level import only when
+    # that function runs.
+    imported = {}
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "coauthnet":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported[f"{path.name}: {node.module}.{alias.name}"] = hasattr(module, alias.name)
+    assert imported
+    assert [name for name, found in imported.items() if not found] == []
