@@ -2,7 +2,7 @@
 export, plus a combined `report` run.
 
 STAGES names each stage in pipeline order: what it reads (the side files,
-or records.jsonl or graph.json from --out), what it writes and the flags it
+or corpus.json or graph.json from --out), what it writes and the flags it
 uses; the parser, input loading, `report`'s stage order, invalidation and
 config.json all read it. A standalone stage takes no flag that shaped its
 cached input. Before writing, a stage deletes its own artifacts and those
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .countries import REGIONS, CountryRegistry, builtin_registry
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, read_json
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
@@ -45,16 +45,16 @@ class Stage(NamedTuple):
 
 STAGES = (
     Stage("ingest", "parse records, apply the topic filter, report coverage", "side files",
-          ("records.jsonl", "coverage.json"), ("input", "format", "variants", "resolved_variants", "registry")),
-    Stage("build", "build the coauthorship graph over the full corpus span", "records.jsonl",
-          ("graph.json",), ("registry",)),
+          ("corpus.json", "records.jsonl", "coverage.json"),
+          ("input", "format", "variants", "resolved_variants", "registry")),
+    Stage("build", "build the coauthorship graph over the full corpus span", "corpus.json", ("graph.json",), ()),
     Stage("metrics", "summary, centralities, degree histogram, small-world report", "graph.json",
           ("summary.json", "centrality.json", "degree_histogram.json", "smallworld.json"),
           ("clustering_mode", "sw_samples", "seed")),
-    Stage("slice", "cut the corpus into time windows and emit per-window series", "records.jsonl",
-          ("windows.json", "series_summary.csv"), ("registry", "window_length", "step", "mode", "clustering_mode")),
-    Stage("densify", "fit the links-vs-nodes power law over cumulative snapshots", "records.jsonl",
-          ("snapshots.csv", "densification.json"), ("registry", "window_length")),
+    Stage("slice", "cut the corpus into time windows and emit per-window series", "corpus.json",
+          ("windows.json", "series_summary.csv"), ("window_length", "step", "mode", "clustering_mode")),
+    Stage("densify", "fit the links-vs-nodes power law over cumulative snapshots", "corpus.json",
+          ("snapshots.csv", "densification.json"), ("window_length",)),
     Stage("export", "write Pajek/DOT/SVG renderings of the graph", "graph.json",
           ("network.net", "network.clu", "network.dot", "network.svg"), ("layout", "size_attr", "gamma", "top_k")),
 )
@@ -165,23 +165,17 @@ def _cached(root: Path, name: str) -> Path:
 def _load_input(cfg: argparse.Namespace, root: Path, reads: str):
     """What a stage consumes, read before anything is written: the registry and topic
     variants (config.json echoes them), or the corpus or graph cached in --out."""
+    if reads == "corpus.json":
+        return ResolvedCorpus.load(_cached(root, reads))
     if reads == "graph.json":
         return CoauthorshipGraph.load(_cached(root, reads))
-    rs = parse_records(_cached(root, reads), "jsonl") if reads == "records.jsonl" else None
-    if rs is None:
-        cfg.resolved_variants = load_variants(cfg.variants) if cfg.variants else DEFAULT_TOPIC_VARIANTS
-    registry = CountryRegistry.from_csv(cfg.registry) if cfg.registry else builtin_registry()
-    return registry if rs is None else ResolvedCorpus(rs, registry)
+    cfg.resolved_variants = load_variants(cfg.variants) if cfg.variants else DEFAULT_TOPIC_VARIANTS
+    return CountryRegistry.from_csv(cfg.registry) if cfg.registry else builtin_registry()
 
 
 def _read_config(path: Path) -> dict:
     """The stage sections of the config.json at `path`; {} if there is none."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return {}
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise DataError(f"{path}: {exc}") from exc
+    doc = read_json(path) if path.exists() else {}
     names = {s.name for s in STAGES}
     if not isinstance(doc, dict) or not all(k in names and isinstance(v, dict) for k, v in doc.items()):
         raise DataError(f"{path} does not hold one section per stage")
@@ -192,6 +186,7 @@ def stage_ingest(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
     parsed = parse_records(cfg.input, cfg.format)
     kept = filter_topic(parsed, cfg.resolved_variants)
     corpus = ResolvedCorpus(kept, registry)
+    out.text("corpus.json", corpus.to_json())
     with out.path("records.jsonl") as path:
         write_records_jsonl(kept, path)
     out.json("coverage.json", {"total_parsed": len(parsed), **vars(corpus.coverage)})
@@ -354,7 +349,7 @@ def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
     inputs, results = {"side files": registry}, {}
     for stage in STAGES:
         if stage.name == "export":  # report.md lists the report-only series before the network files
-            corpus = inputs["records.jsonl"]
+            corpus = inputs["corpus.json"]
             first_years, cumulative = first_year_series(corpus)
             out.json("first_years.json", first_years)
             regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))

@@ -2,6 +2,7 @@
 turn a decoding failure into a DataError naming its line."""
 
 import csv
+import json
 from pathlib import Path
 
 
@@ -30,6 +31,17 @@ def not_utf8(path: str | Path, what: str = "") -> DataError:
             except UnicodeDecodeError as exc:
                 return DataError(f"{what}{path} is not valid UTF-8 at column {exc.start + 1} ({exc.reason})", line=line)
     return DataError(f"{what}{path} is not valid UTF-8")
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file at `path`. DataError, naming the line where known,
+    for bytes that are not UTF-8 or text that is not JSON, nests too deeply or holds too long an int."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path} is not valid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", None)) from exc
 
 
 def csv_rows(fh, fields: tuple[str, ...], what: str):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import permutations
 from pathlib import Path
 
 from .countries import REGIONS, CountryRegistry, is_country_code
-from .errors import DataError, UsageError, not_utf8
-from .ingest import CoverageStats, RecordSet, coverage_stats
+from .errors import DataError, UsageError, read_json
+from .ingest import YEAR_MAX, YEAR_MIN, CoverageStats, RecordSet, coverage_stats
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,14 @@ def _typed(value, kinds, what: str):
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError(f"{what} {value!r} has the wrong type")
     return value
+
+
+def _counts(value, what: str, floor: int = 0) -> dict[str, int]:
+    """A JSON object of int counts, none below `floor`; TypeError or ValueError otherwise."""
+    counts = {key: _typed(n, int, f"{what} count") for key, n in _typed(value, dict, f"{what} counts").items()}
+    if min(counts.values(), default=floor) < floor:
+        raise ValueError(f"{what} counts must be >= {floor}")
+    return counts
 
 
 def _node_from_dict(nd: dict) -> NodeAttr:
@@ -180,26 +189,12 @@ class CoauthorshipGraph:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "CoauthorshipGraph":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid graph JSON: {exc.msg}") from exc
-        except RecursionError as exc:
-            raise DataError("invalid graph JSON: nested too deeply") from exc
-        return cls.from_dict(doc)
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CoauthorshipGraph":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path) from exc
-        return cls.from_json(text)
+        return cls.from_dict(read_json(path))
 
 
 def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> CoauthorshipGraph:
@@ -241,14 +236,17 @@ UNCLASSIFIED_SUBJECT = "(unclassified)"
 
 class ResolvedCorpus:
     """A record set resolved against a registry once and bucketed by year;
-    it holds the buckets, not the records.
+    it holds the buckets, not the records, and corpus.json (to_json, load)
+    hands it to the next process.
 
     Each distinct raw name is resolved once. The corpus keeps the year span,
-    the affiliation coverage, every country's first year over the whole
+    the record count (papers) and how many list a country name
+    (with_affiliation), every country's region and first year over the whole
     corpus (so grouping by entry year is stable across windows), the
     per-occurrence tally of names the registry cannot resolve, and per year
     the paper counts per subject (UNCLASSIFIED_SUBJECT for none) and per
     country, and the adjacency (code -> {neighbour: weight}, both directions).
+    Coverage is computed from these counts on first use.
 
     A window's graph is the sum of the year buckets it contains. A sequence
     of windows is stepped, not re-summed: running totals subtract the years
@@ -259,13 +257,15 @@ class ResolvedCorpus:
     """
 
     def __init__(self, rs: RecordSet, registry: CountryRegistry):
-        self.registry = registry
+        self.papers = len(rs.records)
+        self.with_affiliation = 0
         self.first_year: dict[str, int] = {}
         self.unknown: dict[str, int] = {}
         self.subjects: dict[int, dict[str, int]] = {}
         self._years: dict[int, tuple[dict[str, int], dict[str, dict[str, int]]]] = {}
         resolved: dict[str, str | None] = {}
         for record in rs.records:
+            self.with_affiliation += bool(record.raw_countries)
             found = set()
             for raw in record.raw_countries:
                 if raw not in resolved:
@@ -286,8 +286,49 @@ class ResolvedCorpus:
             for a, b in permutations(found, 2):
                 row = adj.setdefault(a, {})
                 row[b] = row.get(b, 0) + 1
+        self.region = {code: registry.get(code).region for code in self.first_year}
         self.span: tuple[int, int] | None = (min(self._years), max(self._years)) if self._years else None
-        self.coverage: CoverageStats = coverage_stats(rs, self.unknown)
+
+    def to_json(self) -> str:
+        """corpus.json: sorted compact JSON; per year [paper counts, links [a, b, w] with a < b, subject counts]."""
+        years = {str(year): [counts, sorted([a, b, w] for a, row in adj.items() for b, w in row.items() if a < b),
+                             self.subjects[year]] for year, (counts, adj) in self._years.items()}
+        doc = {"papers": self.papers, "with_affiliation": self.with_affiliation, "region": self.region,
+               "unknown": self.unknown, "years": years}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @classmethod
+    def load(cls, path: str | Path) -> "ResolvedCorpus":
+        """The corpus of a corpus.json. Each year's nodes and links are checked as a
+        graph.json's are; a code's first year is its first bucket's. DataError if malformed."""
+        doc = read_json(path)
+        corpus = cls.__new__(cls)
+        corpus.first_year, corpus.subjects, corpus._years = {}, {}, {}
+        try:
+            corpus.papers = _typed(doc["papers"], int, "papers")
+            corpus.with_affiliation = _typed(doc["with_affiliation"], int, "with_affiliation")
+            corpus.region = {c: _typed(r, str, "region") for c, r in _typed(doc["region"], dict, "region").items()}
+            corpus.unknown = _counts(doc["unknown"], "unknown")
+            for year, bucket in sorted((int(key), value) for key, value in _typed(doc["years"], dict, "years").items()):
+                if not YEAR_MIN <= year <= YEAR_MAX:
+                    raise ValueError(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+                counts, links, subjects = _typed(bucket, list, f"year {year}")
+                counts = _counts(counts, f"year {year} paper", floor=1)
+                nodes = [{"code": code, "paper_count": n, "region": corpus.region[code]} for code, n in counts.items()]
+                window = {"start_year": year, "end_year": year}
+                g = CoauthorshipGraph.from_dict({"window": window, "nodes": nodes, "edges": links})
+                corpus._years[year] = counts, {code: row for code, row in g._adj.items() if row}
+                corpus.subjects[year] = _counts(subjects, f"year {year} subject")
+                for code in counts:
+                    corpus.first_year.setdefault(code, year)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed corpus document: {exc}") from exc
+        corpus.span = (min(corpus._years), max(corpus._years)) if corpus._years else None
+        return corpus
+
+    @cached_property
+    def coverage(self) -> CoverageStats:
+        return coverage_stats(self.papers, self.with_affiliation, self.unknown)
 
     def _totals(self, windows):
         """Yield (window, paper counts, adjacency) per window, each stepped
@@ -324,7 +365,7 @@ class ResolvedCorpus:
                     code=code,
                     paper_count=counts[code],
                     first_year=self.first_year[code],
-                    region=self.registry.get(code).region,
+                    region=self.region[code],
                 )
                 for code in sorted(counts)
             ]

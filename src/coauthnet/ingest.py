@@ -151,21 +151,12 @@ def parse_records(path: str | Path, fmt: str = "jsonl") -> RecordSet:
     return RecordSet(records=records)
 
 
-def record_to_obj(record: PublicationRecord) -> dict:
-    return {
-        "id": record.id,
-        "year": record.year,
-        "text": record.text,
-        "countries": list(record.raw_countries),
-        "subjects": list(record.subjects),
-    }
-
-
 def write_records_jsonl(rs: RecordSet, path: str | Path) -> None:
     """Serialize to JSONL; parse_records on the output reproduces the set."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in rs.records:
-            fh.write(_JSONL_ENCODER.encode(record_to_obj(record)))
+        for r in rs.records:
+            obj = {"id": r.id, "year": r.year, "text": r.text, "countries": r.raw_countries, "subjects": r.subjects}
+            fh.write(_JSONL_ENCODER.encode(obj))
             fh.write("\n")
 
 
@@ -178,20 +169,16 @@ def filter_topic(rs: RecordSet, variants: list[str] | tuple[str, ...]) -> Record
     return RecordSet(records=kept)
 
 
-def coverage_stats(rs: RecordSet, unknown: dict[str, int] | None = None) -> CoverageStats:
-    """Affiliation coverage of a record set.
-
-    `unknown` is the per-occurrence tally of raw country names the registry
-    cannot resolve (ResolvedCorpus.unknown); unknowns are data, not errors.
-    """
-    total = len(rs.records)
-    with_affiliation = sum(1 for r in rs.records if r.raw_countries)
+def coverage_stats(papers: int, with_affiliation: int, unknown: dict[str, int]) -> CoverageStats:
+    """Affiliation coverage of `papers` records, `with_affiliation` of which list a country
+    name. `unknown` is the per-occurrence tally of raw country names the registry cannot
+    resolve (ResolvedCorpus.unknown); unknowns are data, not errors."""
     return CoverageStats(
-        kept_after_topic_filter=total,
+        kept_after_topic_filter=papers,
         with_affiliation=with_affiliation,
-        affiliation_fraction=with_affiliation / total if total else 0.0,
-        unknown_country_names=sorted((unknown or {}).items(), key=lambda kv: (-kv[1], kv[0])),
-        empty_corpus=total == 0,
+        affiliation_fraction=with_affiliation / papers if papers else 0.0,
+        unknown_country_names=sorted(unknown.items(), key=lambda kv: (-kv[1], kv[0])),
+        empty_corpus=papers == 0,
     )
 
 

@@ -180,7 +180,7 @@ def first_year_series(corpus: ResolvedCorpus) -> tuple[dict[str, int], dict[str,
         y1 = corpus.span[1]
         by_region: dict[str, list[int]] = {region: [] for region in REGIONS}
         for code, year in first_year.items():
-            by_region[corpus.registry.get(code).region].append(year)
+            by_region[corpus.region[code]].append(year)
         for region in REGIONS:
             years = by_region[region]
             cumulative[region] = {y: sum(1 for fy in years if fy <= y) for y in range(y0, y1 + 1)}

@@ -73,7 +73,7 @@ def test_unknown_flag_shows_the_subcommand_usage(tmp_path, capsys):
     assert run("build", "--input", "x", "--out", out) == 1
     err = capsys.readouterr().err
     assert "unrecognized arguments: --input x" in err
-    assert "usage: coauthnet build" in err and "--registry" in err
+    assert "usage: coauthnet build" in err and "--window-length" in err and "--registry" not in err
     assert "{ingest," not in err
     assert not out.exists()
 
@@ -95,9 +95,9 @@ def test_missing_input_writes_nothing(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "command, cached, producer",
     [
-        ("build", "records.jsonl", "ingest"),
-        ("slice", "records.jsonl", "ingest"),
-        ("densify", "records.jsonl", "ingest"),
+        ("build", "corpus.json", "ingest"),
+        ("slice", "corpus.json", "ingest"),
+        ("densify", "corpus.json", "ingest"),
         ("metrics", "graph.json", "build"),
         ("export", "graph.json", "build"),
     ],
@@ -117,12 +117,8 @@ def _tree_bytes(root):
 # Each standalone stage reads a cache that these flags shaped, so it rejects them.
 _CACHE_SHAPING_FLAGS = [
     (stage, flag)
-    for stages, flags in (
-        (("build", "slice", "densify"), ("--input", "--format", "--variants")),
-        (("metrics", "export"), ("--input", "--format", "--variants", "--registry")),
-    )
-    for stage in stages
-    for flag in flags
+    for stage in ("build", "slice", "densify", "metrics", "export")
+    for flag in ("--input", "--format", "--variants", "--registry")
 ]
 
 
@@ -268,7 +264,7 @@ def test_config_echo(tmp_path):
     config = json.loads((out / "config.json").read_text())
     assert config == {
         "ingest": ingest,
-        "build": {"registry": None},
+        "build": {},
         "metrics": {"clustering_mode": "exclude_low_degree", "sw_samples": 100, "seed": 7},
     }
 
@@ -309,7 +305,7 @@ def test_custom_registry(tmp_path):
     )
     out = tmp_path / "out"
     assert run("ingest", "--input", FIXTURE_CORPUS, "--registry", registry, "--out", out) == 0
-    assert run("build", "--registry", registry, "--out", out) == 0
+    assert run("build", "--out", out) == 0
     doc = json.loads((out / "graph.json").read_text())
     assert [nd["code"] for nd in doc["nodes"]] == ["AUT", "BEL"]
     coverage = json.loads((out / "coverage.json").read_text())
@@ -363,7 +359,7 @@ def test_report_equals_staged_run(tmp_path, capsys, corpus):
         assert run(stage, *flags, "--out", staged) == 0
     staged_names = sorted(p.name for p in staged.iterdir())
     assert set(staged_names) <= {p.name for p in report.iterdir()}
-    assert len(staged_names) == 16
+    assert len(staged_names) == 17
     for name in staged_names:
         assert (report / name).read_bytes() == (staged / name).read_bytes(), name
 
@@ -418,7 +414,7 @@ def test_report_bytes_on_criterion_9_corpus(tmp_path, capsys, registry):
 # rather than read from coauthnet.cli.STAGES, so the tests check the table.
 
 _WRITES = {
-    "ingest": ["records.jsonl", "coverage.json"],
+    "ingest": ["corpus.json", "records.jsonl", "coverage.json"],
     "build": ["graph.json"],
     "metrics": ["summary.json", "centrality.json", "degree_histogram.json", "smallworld.json"],
     "slice": ["windows.json", "series_summary.csv"],
@@ -451,7 +447,7 @@ def test_rerun_ingest_drops_the_graph_it_no_longer_describes(tmp_path, capsys):
     assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
     assert run("build", "--out", out) == 0
     assert run("ingest", "--input", FIXTURE_CORPUS, "--variants", variants, "--out", out) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["config.json", "coverage.json", "records.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "corpus.json", "coverage.json", "records.jsonl"]
     assert json.loads((out / "coverage.json").read_text())["kept_after_topic_filter"] == 0
     assert list(json.loads((out / "config.json").read_text())) == ["ingest"]
     capsys.readouterr()
@@ -459,17 +455,17 @@ def test_rerun_ingest_drops_the_graph_it_no_longer_describes(tmp_path, capsys):
     assert f"coauthnet build --out {out}" in capsys.readouterr().err
 
 
-def test_build_with_another_registry_drops_the_metrics(tmp_path, capsys):
+def test_ingest_with_another_registry_drops_every_downstream_artifact(tmp_path, capsys):
     out = tmp_path / "out"
     registry = tmp_path / "registry.csv"
     registry.write_text("code,display_name,region,historic,aliases\nAUT,Austria,Europe,false,\n", encoding="utf-8")
     assert run("report", "--input", FIXTURE_CORPUS, "--sw-samples", 2, "--out", out) == 0
-    assert run("build", "--registry", registry, "--out", out) == 0
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        ["config.json", *_WRITES["ingest"], "graph.json", *_WRITES["slice"], *_WRITES["densify"]]
-    )
-    assert sorted(json.loads((out / "config.json").read_text())) == ["build", "densify", "ingest", "slice"]
-    assert json.loads((out / "config.json").read_text())["build"] == {"registry": str(registry)}
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--registry", registry, "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(["config.json", *_WRITES["ingest"]])
+    assert list(json.loads((out / "config.json").read_text())) == ["ingest"]
+    assert json.loads((out / "config.json").read_text())["ingest"]["registry"] == str(registry)
+    assert run("build", "--out", out) == 0
+    assert [nd["code"] for nd in json.loads((out / "graph.json").read_text())["nodes"]] == ["AUT"]
 
 
 @pytest.mark.parametrize("which", ["records-csv", "registry"])
@@ -504,18 +500,19 @@ def test_non_utf8_graph_json_is_data_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, prefix",
     [
-        b"\xff\xfe{}",
-        b"{not json",
-        b'{"command": "build", "out": "out", "seed": 0}',
-        b'["ingest"]',
-        b'{"ingest": {}, "build": 3}',
-        b'{"report": {}}',
+        (b"\xff\xfe{}", "data error:"),
+        (b'{"ingest": {}}\n\xff\n', "data error: line 2: "),
+        (b"{not json", "data error:"),
+        (b'{"command": "build", "out": "out", "seed": 0}', "data error:"),
+        (b'["ingest"]', "data error:"),
+        (b'{"ingest": {}, "build": 3}', "data error:"),
+        (b'{"report": {}}', "data error:"),
     ],
-    ids=["non-utf8", "not-json", "flat-format", "list", "non-dict-section", "unknown-stage"],
+    ids=["non-utf8", "non-utf8-line-2", "not-json", "flat-format", "list", "non-dict-section", "unknown-stage"],
 )
-def test_malformed_config_json_is_data_exit(tmp_path, capsys, content):
+def test_malformed_config_json_is_data_exit(tmp_path, capsys, content, prefix):
     out = tmp_path / "out"
     assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
     (out / "config.json").write_bytes(content)
@@ -523,8 +520,79 @@ def test_malformed_config_json_is_data_exit(tmp_path, capsys, content):
     capsys.readouterr()
     assert run("build", "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "config.json" in err and "Traceback" not in err
+    assert err.startswith(prefix) and "config.json" in err and "Traceback" not in err
     assert _tree_bytes(out) == before
+
+
+# A valid corpus.json, and fields that each make it malformed.
+_CORPUS = {
+    "papers": 2,
+    "with_affiliation": 2,
+    "region": {"AT": "Europe", "BE": "Europe"},
+    "unknown": {"Atlantis": 1},
+    "years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "BE", 1]], {"Physics": 2}]},
+}
+_BAD_CORPUS = {
+    "lowercase-code": {"region": {"at": "Europe"}, "years": {"1990": [{"at": 1}, [], {}]}},
+    "unknown-region": {"region": {"AT": "Mars", "BE": "Europe"}},
+    "null-region": {"region": {"AT": None, "BE": "Europe"}},
+    "code-without-region": {"region": {"BE": "Europe"}},
+    "bool-weight": {"years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "BE", True]], {}]}},
+    "self-loop": {"years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "AT", 1]], {}]}},
+    "duplicate-link": {"years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "BE", 1], ["BE", "AT", 1]], {}]}},
+    "link-to-uncounted-code": {"years": {"1990": [{"AT": 2}, [["AT", "BE", 1]], {}]}},
+    "zero-paper-count": {"years": {"1990": [{"AT": 0, "BE": 1}, [], {}]}},
+    "float-subject-count": {"years": {"1990": [{"AT": 2, "BE": 1}, [], {"Physics": 1.5}]}},
+    "short-bucket": {"years": {"1990": [{"AT": 2, "BE": 1}, []]}},
+    "year-out-of-range": {"years": {"99999": [{"AT": 2, "BE": 1}, [], {}]}},
+    "non-integer-year": {"years": {"19x0": [{"AT": 2, "BE": 1}, [], {}]}},
+    "years-not-an-object": {"years": []},
+    "string-papers": {"papers": "2"},
+    "negative-unknown-count": {"unknown": {"Atlantis": -1}},
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_CORPUS.values(), ids=list(_BAD_CORPUS))
+def test_malformed_corpus_json_is_data_exit(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    (out / "corpus.json").write_text(json.dumps(_CORPUS), encoding="utf-8")
+    assert run("build", "--out", out) == 0
+    (out / "corpus.json").write_text(json.dumps({**_CORPUS, **bad}), encoding="utf-8")
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert run("build", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed corpus document") and "Traceback" not in err
+    assert _tree_bytes(out) == before
+
+
+def test_standalone_stages_neither_parse_nor_resolve(tmp_path, capsys, monkeypatch):
+    """build, slice and densify read the corpus ingest resolved: no record is parsed and
+    no country name resolved again (the ingest count shows the counters count)."""
+    import coauthnet.cli
+    import coauthnet.ingest
+    from coauthnet.countries import CountryRegistry
+
+    calls = {"parse_records": 0, "resolve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (coauthnet.cli, coauthnet.ingest):
+        monkeypatch.setattr(module, "parse_records", counted("parse_records", coauthnet.ingest.parse_records))
+    monkeypatch.setattr(CountryRegistry, "resolve", counted("resolve", CountryRegistry.resolve))
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    assert calls["parse_records"] == 1 and calls["resolve"] > 0
+    for stage in ("build", "slice", "densify"):
+        calls.update(parse_records=0, resolve=0)
+        assert run(stage, "--out", out) == 0
+        assert calls == {"parse_records": 0, "resolve": 0}, stage
 
 
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()], ids=["OSError", "KeyboardInterrupt"])
@@ -545,7 +613,7 @@ def test_interrupted_write_leaves_no_file(tmp_path, capsys, monkeypatch, error):
         # Not an error of the command: the cleanup runs and the interrupt propagates.
         with pytest.raises(KeyboardInterrupt):
             run("build", "--out", out)
-    assert sorted(p.name for p in out.iterdir()) == ["config.json", "coverage.json", "records.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "corpus.json", "coverage.json", "records.jsonl"]
     assert list(json.loads((out / "config.json").read_text())) == ["ingest"]
 
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from itertools import combinations
@@ -19,10 +20,10 @@ from coauthnet import (
 )
 from coauthnet.graph import UNCLASSIFIED_SUBJECT, NodeAttr, build_network, graph_from_edges, induced_subgraph
 from coauthnet.ingest import PublicationRecord, RecordSet
-from coauthnet.temporal import densification_snapshots, discipline_series
+from coauthnet.temporal import densification_snapshots, discipline_series, first_year_series
 
 from bruteforce import oracle_edge_weights
-from conftest import synthetic_corpus_rows, write_jsonl
+from conftest import FIXTURE_CORPUS, synthetic_corpus_rows, write_jsonl
 
 
 def _corpus(tmp_path, rows):
@@ -292,6 +293,36 @@ def test_stepped_windows_match_recount(registry, rows, windows):
         assert g == rebuilt and g.m == rebuilt.m and g.degrees() == rebuilt.degrees(), window
 
 
+@pytest.mark.parametrize("source", ["fixture", "synthetic"])
+def test_loaded_corpus_equals_built_corpus(tmp_path, registry, source):
+    if source == "fixture":
+        rs = parse_records(FIXTURE_CORPUS)
+    else:
+        rows = synthetic_corpus_rows(random.Random(23), 500, ["Ukraine", "USSR", "France", "Japan", "Brazil", "Atlantis"])
+        # 1980 lists no name the registry knows; 2020 lists no name and no subject.
+        rows += [{"id": "x1", "year": 1980, "countries": ["Atlantis", "Narnia"]}, {"id": "x2", "year": 2020}]
+        rs = _corpus(tmp_path, rows)
+    built = ResolvedCorpus(rs, registry)
+    if source == "synthetic":
+        assert built.unknown and built.span == (1980, 2020) and built.graph(TimeWindow(1980, 1980)).n == 0
+        assert built.subjects[2020] == {UNCLASSIFIED_SUBJECT: 1}
+    path = tmp_path / "corpus.json"
+    path.write_text(built.to_json(), encoding="utf-8")
+    loaded = ResolvedCorpus.load(path)
+
+    assert loaded.to_json() == built.to_json()
+    for attr in ("papers", "with_affiliation", "unknown", "region", "first_year", "subjects", "span", "coverage"):
+        assert getattr(loaded, attr) == getattr(built, attr), attr
+    assert loaded.coverage is loaded.coverage
+    for length, step in ((1, 1), (3, 2), (5, 5)):
+        for mode in ("sliding", "cumulative"):
+            windows = slice_windows(built.span, length, step, mode)
+            assert list(loaded.graphs(windows)) == list(built.graphs(windows)), (length, step, mode)
+            assert list(loaded.sizes(windows)) == list(built.sizes(windows)), (length, step, mode)
+    assert first_year_series(loaded) == first_year_series(built)
+    assert discipline_series(loaded) == discipline_series(built)
+
+
 def test_induced_subgraph():
     tri = graph_from_edges([("A", "B"), ("B", "C"), ("A", "C")])
     sub = induced_subgraph(tri, {"A", "B"})
@@ -315,7 +346,7 @@ def test_json_round_trip(tmp_path, registry):
     rng = random.Random(2)
     rows = synthetic_corpus_rows(rng, 100, ["Ukraine", "France", "Japan"])
     g = build_network(_corpus(tmp_path, rows), registry)
-    assert CoauthorshipGraph.from_json(g.to_json()) == g
+    assert CoauthorshipGraph.from_dict(json.loads(g.to_json())) == g
     g.save(tmp_path / "graph.json")
     assert CoauthorshipGraph.load(tmp_path / "graph.json") == g
 
@@ -327,11 +358,14 @@ def test_json_is_canonical(fixture_graph):
     assert fixture_graph.to_json() == fixture_graph.to_json()
 
 
-def test_from_json_rejects_garbage():
+def test_load_rejects_garbage(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text("{not json", encoding="utf-8")
     with pytest.raises(DataError):
-        CoauthorshipGraph.from_json("{not json")
+        CoauthorshipGraph.load(path)
+    path.write_text('{"nodes": []}', encoding="utf-8")
     with pytest.raises(DataError):
-        CoauthorshipGraph.from_json('{"nodes": []}')
+        CoauthorshipGraph.load(path)
 
 
 def test_graph_validation():

@@ -164,7 +164,7 @@ def test_filter_topic_empty_variants(tmp_path):
         filter_topic(rs, ["", "  "])
 
 
-def test_filter_topic_idempotent(tmp_path):
+def test_filter_topic_idempotent(tmp_path, registry):
     rng = random.Random(7)
     rows = synthetic_corpus_rows(rng, 120, ["Ukraine", "France", "Japan"])
     for i in (3, 40, 77):
@@ -173,35 +173,35 @@ def test_filter_topic_idempotent(tmp_path):
     once = filter_topic(rs, ["chernobyl", "chornobyl"])
     twice = filter_topic(once, ["chernobyl", "chornobyl"])
     assert once.records == twice.records
-    assert coverage_stats(once) == coverage_stats(twice)
+    assert ResolvedCorpus(once, registry).coverage == ResolvedCorpus(twice, registry).coverage
 
 
-def test_coverage_fraction(tmp_path):
+def test_coverage_fraction(tmp_path, registry):
     rows = [
         {"id": "p1", "year": 1990, "countries": ["Ukraine"]},
         {"id": "p2", "year": 1990, "countries": ["France"]},
         {"id": "p3", "year": 1990, "countries": ["Japan"]},
         {"id": "p4", "year": 1990},
     ]
-    cov = coverage_stats(parse_records(write_jsonl(tmp_path / "r.jsonl", rows)))
+    cov = ResolvedCorpus(parse_records(write_jsonl(tmp_path / "r.jsonl", rows)), registry).coverage
     assert cov.kept_after_topic_filter == 4
     assert cov.with_affiliation == 3
     assert cov.affiliation_fraction == 0.75
     assert not cov.empty_corpus
 
 
-def test_coverage_empty_corpus(tmp_path):
+def test_coverage_empty_corpus(tmp_path, registry):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
-    cov = coverage_stats(parse_records(path))
+    cov = ResolvedCorpus(parse_records(path), registry).coverage
     assert cov.kept_after_topic_filter == 0
     assert cov.affiliation_fraction == 0.0
     assert cov.empty_corpus
 
 
-def test_coverage_no_affiliations(tmp_path):
+def test_coverage_no_affiliations(tmp_path, registry):
     rows = [{"id": "p1", "year": 1990}, {"id": "p2", "year": 1990}]
-    cov = coverage_stats(parse_records(write_jsonl(tmp_path / "r.jsonl", rows)))
+    cov = ResolvedCorpus(parse_records(write_jsonl(tmp_path / "r.jsonl", rows)), registry).coverage
     assert cov.affiliation_fraction == 0.0
     assert not cov.empty_corpus
 
@@ -213,16 +213,16 @@ def test_coverage_unknowns_tallied_per_occurrence(tmp_path, registry):
     ]
     rs = parse_records(write_jsonl(tmp_path / "r.jsonl", rows))
     corpus = ResolvedCorpus(rs, registry)
-    cov = coverage_stats(rs, corpus.unknown)
+    cov = coverage_stats(corpus.papers, corpus.with_affiliation, corpus.unknown)
     assert cov.unknown_country_names == [("Atlantis", 2), ("Narnia", 1)]
     assert corpus.coverage == cov and corpus.coverage is corpus.coverage
 
 
-def test_coverage_recount_matches(tmp_path):
+def test_coverage_recount_matches(tmp_path, registry):
     rng = random.Random(11)
     rows = synthetic_corpus_rows(rng, 200, ["Ukraine", "France", "Japan", "Brazil"])
     rs = parse_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert coverage_stats(rs).with_affiliation == sum(1 for r in rs.records if r.raw_countries)
+    assert ResolvedCorpus(rs, registry).coverage.with_affiliation == sum(1 for r in rs.records if r.raw_countries)
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coauthnet import CoauthorshipGraph, CountryRegistry, DataError, UsageError, parse_records
+from coauthnet import CoauthorshipGraph, CountryRegistry, DataError, ResolvedCorpus, UsageError, parse_records, slice_windows
 from coauthnet.cli import _read_config, main
+from coauthnet.countries import REGIONS
 from coauthnet.ingest import load_variants
+from coauthnet.temporal import discipline_series, first_year_series
 
 from conftest import FIXTURE_CORPUS
 
@@ -33,6 +35,53 @@ _GRAPH = st.fixed_dictionaries(
     }
 )
 _RECORD = _document(["id", "year", "text", "countries", "subjects"])
+_CODE = st.sampled_from(["AT", "BE", "CZ", "at", ""]) | st.text(max_size=4)
+_COUNTS = st.dictionaries(_CODE, st.integers(-1, 3) | _JSON, max_size=3)
+_BUCKET = st.tuples(_COUNTS, st.lists(st.lists(_CODE | st.integers(-1, 3) | _JSON, max_size=4), max_size=4), _COUNTS)
+# Corpus documents that break one rule now and then, so most loads get past the checks and
+# reach the graphs and series: every code has a region entry, counts are mostly positive.
+_NEAR_CODE = st.sampled_from(["AT", "BE", "CZ"])
+_NEAR_COUNTS = st.dictionaries(_NEAR_CODE, st.integers(0, 9), max_size=3)
+_NEAR_LINKS = st.lists(st.tuples(_NEAR_CODE, _NEAR_CODE, st.integers(0, 9)).map(list), max_size=3)
+_NEAR_CORPUS = st.fixed_dictionaries(
+    {
+        "papers": st.integers(0, 9),
+        "with_affiliation": st.integers(0, 9),
+        "region": st.fixed_dictionaries({code: st.sampled_from([*REGIONS, None, "Mars"]) for code in ("AT", "BE", "CZ")}),
+        "unknown": st.dictionaries(st.text(max_size=3), st.integers(-1, 9), max_size=2),
+        "years": st.dictionaries(
+            st.integers(1895, 2105).map(str), st.tuples(_NEAR_COUNTS, _NEAR_LINKS, _NEAR_COUNTS).map(list), max_size=3
+        ),
+    }
+)
+_CORPUS = (
+    st.fixed_dictionaries(
+        {
+            "papers": st.integers() | _JSON,
+            "with_affiliation": st.integers() | _JSON,
+            "region": st.dictionaries(_CODE, st.sampled_from(REGIONS) | _JSON, max_size=3) | _JSON,
+            "unknown": st.dictionaries(st.text(max_size=6), st.integers() | _JSON, max_size=3) | _JSON,
+            "years": st.dictionaries(
+                st.sampled_from(["1990", "1991", "1899", "2101", "x"]) | st.integers().map(str),
+                _BUCKET.map(list) | st.lists(_JSON, max_size=4),
+                max_size=3,
+            )
+            | _JSON,
+        }
+    )
+    | _NEAR_CORPUS
+    | _document(["papers", "with_affiliation", "region", "unknown", "years"])
+)
+
+
+def _read_corpus(path):
+    """Load a corpus.json and use it as the standalone stages and report do."""
+    corpus = ResolvedCorpus.load(path)
+    list(corpus.graphs(slice_windows(corpus.span, 1, 1, "sliding")))
+    list(corpus.sizes(slice_windows(corpus.span, 2, 2, "cumulative")))
+    first_year_series(corpus)
+    discipline_series(corpus)
+    assert corpus.coverage is corpus.coverage
 
 
 def _lines(strategy, header=()):
@@ -54,6 +103,7 @@ READERS = {
     "variants": (load_variants, _bytes()),
     "registry": (CountryRegistry.from_csv, _bytes(_lines(_CSV_CELLS, header=["code,display_name,region,historic,aliases"]))),
     "graph": (CoauthorshipGraph.load, _bytes(_GRAPH.map(lambda doc: json.dumps(doc).encode("utf-8")))),
+    "corpus": (_read_corpus, _bytes(_CORPUS.map(lambda doc: json.dumps(doc).encode("utf-8")))),
     "config": (_read_config, _bytes(st.dictionaries(st.text(max_size=8), _JSON).map(lambda d: json.dumps(d).encode()))),
 }
 
@@ -73,8 +123,8 @@ def test_arbitrary_bytes_raise_only_data_or_usage_errors(tmp_path, reader, data)
 
 @pytest.mark.parametrize(
     "command, nested",
-    [("ingest", "input"), ("metrics", "graph.json"), ("build", "config.json")],
-    ids=["records-jsonl", "graph-json", "config-json"],
+    [("ingest", "input"), ("metrics", "graph.json"), ("build", "config.json"), ("build", "corpus.json")],
+    ids=["records-jsonl", "graph-json", "config-json", "corpus-json"],
 )
 def test_deeply_nested_json_is_data_exit(tmp_path, capsys, command, nested):
     out = tmp_path / "out"
