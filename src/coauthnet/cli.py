@@ -370,6 +370,8 @@ def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
 
 
 def main(argv=None) -> int:
+    # Before numpy loads: its OpenBLAS reads this once, so every product of this process runs on one thread.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         cfg = build_parser().parse_args(argv)
         _check_config(cfg)

@@ -80,6 +80,25 @@ def _node_from_dict(nd: dict) -> NodeAttr:
     return attr
 
 
+def _nodes_and_edges(nodes, edges) -> tuple[list[NodeAttr], list[tuple[str, str, int]]]:
+    """The checked nodes and (a, b, weight) edges of graph.json lists; KeyError,
+    TypeError or ValueError if malformed."""
+    return [_node_from_dict(nd) for nd in nodes], [
+        (_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
+        for a, b, w in edges
+    ]
+
+
+def _year_key(key: str) -> int:
+    """The year a corpus.json key spells in canonical form; ValueError otherwise."""
+    year = int(key) if key.isascii() and key.isdigit() else None
+    if str(year) != key:
+        raise ValueError(f"year key {key!r} is not a canonical integer")
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise ValueError(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    return year
+
+
 class CoauthorshipGraph:
     """Undirected weighted simple graph over country codes."""
 
@@ -177,11 +196,7 @@ class CoauthorshipGraph:
                 _typed(doc["window"]["start_year"], int, "window start_year"),
                 _typed(doc["window"]["end_year"], int, "window end_year"),
             )
-            nodes = [_node_from_dict(nd) for nd in doc["nodes"]]
-            edges = [
-                (_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
-                for a, b, w in doc["edges"]
-            ]
+            nodes, edges = _nodes_and_edges(doc["nodes"], doc["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed graph document: {exc}") from exc
         return cls(nodes, edges, window)
@@ -194,7 +209,12 @@ class CoauthorshipGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "CoauthorshipGraph":
-        return cls.from_dict(read_json(path))
+        """The graph of a graph.json; DataError naming the file if malformed."""
+        doc = read_json(path)
+        try:
+            return cls.from_dict(doc)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> CoauthorshipGraph:
@@ -300,7 +320,9 @@ class ResolvedCorpus:
     @classmethod
     def load(cls, path: str | Path) -> "ResolvedCorpus":
         """The corpus of a corpus.json. Each year's nodes and links are checked as a
-        graph.json's are; a code's first year is its first bucket's. DataError if malformed."""
+        graph.json's are; a code's first year is its first bucket's. DataError naming
+        the file if malformed, or if a year key or a link is not spelled as to_json
+        writes it."""
         doc = read_json(path)
         corpus = cls.__new__(cls)
         corpus.first_year, corpus.subjects, corpus._years = {}, {}, {}
@@ -309,20 +331,27 @@ class ResolvedCorpus:
             corpus.with_affiliation = _typed(doc["with_affiliation"], int, "with_affiliation")
             corpus.region = {c: _typed(r, str, "region") for c, r in _typed(doc["region"], dict, "region").items()}
             corpus.unknown = _counts(doc["unknown"], "unknown")
-            for year, bucket in sorted((int(key), value) for key, value in _typed(doc["years"], dict, "years").items()):
-                if not YEAR_MIN <= year <= YEAR_MAX:
-                    raise ValueError(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+            years = _typed(doc["years"], dict, "years")
+            for year, bucket in sorted((_year_key(key), value) for key, value in years.items()):
                 counts, links, subjects = _typed(bucket, list, f"year {year}")
                 counts = _counts(counts, f"year {year} paper", floor=1)
-                nodes = [{"code": code, "paper_count": n, "region": corpus.region[code]} for code, n in counts.items()]
-                window = {"start_year": year, "end_year": year}
-                g = CoauthorshipGraph.from_dict({"window": window, "nodes": nodes, "edges": links})
+                nodes = []
+                for code, n in counts.items():
+                    if code not in corpus.region:
+                        raise ValueError(f"year {year} counts code {code!r}, which has no region")
+                    nodes.append({"code": code, "paper_count": n, "region": corpus.region[code]})
+                    corpus.first_year.setdefault(code, year)
+                nodes, edges = _nodes_and_edges(nodes, links)
+                for a, b, _ in edges:
+                    if a > b:
+                        raise ValueError(f"year {year} link {[a, b]} does not list its codes in order")
+                g = CoauthorshipGraph(nodes, edges, TimeWindow(year, year))
                 corpus._years[year] = counts, {code: row for code, row in g._adj.items() if row}
                 corpus.subjects[year] = _counts(subjects, f"year {year} subject")
-                for code in counts:
-                    corpus.first_year.setdefault(code, year)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed corpus document: {exc}") from exc
+        except KeyError as exc:
+            raise DataError(f"{path}: malformed corpus document: no {exc} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed corpus document: {exc}") from exc
         corpus.span = (min(corpus._years), max(corpus._years)) if corpus._years else None
         return corpus
 

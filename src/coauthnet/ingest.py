@@ -21,10 +21,6 @@ DEFAULT_TOPIC_VARIANTS = ("chernobyl", "chornobyl")
 
 _FIELDS = ("id", "year", "text", "countries", "subjects")
 
-# One encoder for every records.jsonl line; json.dumps with keyword
-# arguments would build a new one per call.
-_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-
 
 @dataclass
 class PublicationRecord:
@@ -152,12 +148,17 @@ def parse_records(path: str | Path, fmt: str = "jsonl") -> RecordSet:
 
 
 def write_records_jsonl(rs: RecordSet, path: str | Path) -> None:
-    """Serialize to JSONL; parse_records on the output reproduces the set."""
+    """Serialize to JSONL; parse_records on the output reproduces the set.
+
+    Each line is json.dumps(obj, ensure_ascii=False, separators=(",", ":")) of
+    the fields id, year, text, countries and subjects, built from the string
+    function that encoder calls; year is a validated int, whose JSON is its repr."""
+    enc = json.encoder.encode_basestring
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in rs.records:
-            obj = {"id": r.id, "year": r.year, "text": r.text, "countries": r.raw_countries, "subjects": r.subjects}
-            fh.write(_JSONL_ENCODER.encode(obj))
-            fh.write("\n")
+            countries, subjects = ",".join(map(enc, r.raw_countries)), ",".join(map(enc, r.subjects))
+            fh.write(f'{{"id":{enc(r.id)},"year":{r.year},"text":{enc(r.text)},'
+                     f'"countries":[{countries}],"subjects":[{subjects}]}}\n')
 
 
 def filter_topic(rs: RecordSet, variants: list[str] | tuple[str, ...]) -> RecordSet:

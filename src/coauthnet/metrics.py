@@ -21,14 +21,16 @@ The kernel keeps the bytes of every result:
 - the giant component is the largest, ties going to the one holding the
   smallest code.
 
-The kernel is also thread-free: every product is `np.einsum` without
-`optimize`, which runs numpy's own single-threaded loop; the kernel's own
-products are on float32 0/1 matrices (counts are at most n^2, exact in
-float32 up to n = 4096).
-`@`, `np.dot`, `np.matmul` and `tensordot` on float arrays go to the BLAS,
-which on a 2-vCPU host turns two-threaded above about 100^3 multiply-adds;
-a 176 x 176 sgemm then took 5-16 ms per call under contention instead of
-0.09 ms.
+The kernel's matrix products are `@`, so they run in numpy's BLAS, and
+every product sums exact integers: walk counts and BFS frontiers in float32
+0/1 matrices (counts are at most n^2, exact in float32 up to n = 4096),
+geodesic counts in float64 (exact while below 2^53). So no summation order
+and no thread count of the BLAS can change a byte. `cli.main` sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, so a CLI process runs the BLAS on
+one thread and starts no worker. Unpinned on a 2-vCPU host, `import numpy`
+started a second thread and took 0.14-0.17 s instead of 0.07-0.09 s, and a
+176 x 176 sgemm took 5-16 ms instead of 0.09 ms while other work held the
+CPUs. A library caller pins it the same way, before importing numpy.
 
 Betweenness runs Brandes' algorithm for all sources at once on the same
 kernel result, with the source as the row axis of n x n arrays:
@@ -36,8 +38,7 @@ kernel result, with the source as the row axis of n x n arrays:
   node's unseen neighbours in ascending code order, so every row holds
   that source's BFS queue in the single-source loop's order;
 - geodesic counts sigma grow level by level from the hop distances, one
-  einsum per level on float64 0/1 and integer-valued matrices; the counts
-  are integers, exact while below 2^53;
+  product per level of float64 integer-valued and 0/1 matrices;
 - a backward pass steps through queue positions from the last, applying
   `delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])` to the
   predecessors of each row's node w, the same float operations in the same
@@ -80,7 +81,7 @@ class _Geodesics:
         a = adj.astype(np.float32)
         self.degree = adj.sum(axis=1)
         self.dist = adj.astype(np.int32)
-        walks = np.einsum("ij,jk->ik", a, a)
+        walks = a @ a
         # sum_j (A.A)_ij A_ij = (A.A.A)_ii counts each link among i's
         # neighbours twice.
         self.triangles = np.einsum("ij,ij->i", walks, a).astype(np.int64) // 2
@@ -93,7 +94,7 @@ class _Geodesics:
             if reach.all():
                 break
             level += 1
-            new = (np.einsum("ij,jk->ik", new.astype(np.float32), a) > 0) & ~reach
+            new = (new.astype(np.float32) @ a > 0) & ~reach
         self.root = reach.argmax(axis=1) if n else np.zeros(0, dtype=np.int64)
 
     def giant(self) -> np.ndarray:
@@ -233,7 +234,7 @@ def betweenness(g: CoauthorshipGraph) -> dict[str, float]:
     a = adj.astype(np.float64)
     sigma = np.eye(n)
     for level in range(1, int(dist.max()) + 1):
-        spread = np.einsum("ij,jk->ik", np.where(dist == level - 1, sigma, 0.0), a)
+        spread = np.where(dist == level - 1, sigma, 0.0) @ a
         sigma += np.where(dist == level, spread, 0.0)
     # Dependencies in reverse queue order, with the single-source loop's
     # float operations: delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w]).

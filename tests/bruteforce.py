@@ -35,6 +35,25 @@ def floyd_distances(nodes, edges):
     return dist
 
 
+def bfs_distances(nodes, edges):
+    """The floyd_distances result by one breadth-first search per source, for
+    graphs too large for Floyd's n^3 interpreter steps."""
+    adj = _adjacency(nodes, edges)
+    dist = {(a, b): INF for a in nodes for b in nodes}
+    for s in nodes:
+        dist[(s, s)] = 0
+        frontier = [s]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in adj[v]:
+                    if dist[(s, w)] is INF:
+                        dist[(s, w)] = dist[(s, v)] + 1
+                        reached.append(w)
+            frontier = reached
+    return dist
+
+
 def enumerate_geodesics(nodes, edges, s, t, dist=None):
     """All shortest s-t paths, via depth-limited DFS."""
     if dist is None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coauthnet import CoauthorshipGraph
 from coauthnet.cli import main
+from coauthnet.countries import REGIONS
 from coauthnet.export import read_pajek
 
 from conftest import FIXTURE_CORPUS, synthetic_corpus_rows, write_jsonl
@@ -194,7 +195,7 @@ def test_malformed_graph_json_is_data_exit(tmp_path, capsys, doc):
     (out / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
     assert run("metrics", "--out", out) == 2
     err = capsys.readouterr().err
-    assert "malformed graph document" in err and "Traceback" not in err
+    assert err.startswith(f"data error: {out / 'graph.json'}: malformed graph document: ") and "Traceback" not in err
     assert not (out / "summary.json").exists()
 
 
@@ -532,28 +533,54 @@ _CORPUS = {
     "unknown": {"Atlantis": 1},
     "years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "BE", 1]], {"Physics": 2}]},
 }
+def _bucket(links):
+    return {"years": {"1990": [{"AT": 2, "BE": 1}, links, {}]}}
+
+
+# Fields that each make _CORPUS malformed, and the message that says why.
 _BAD_CORPUS = {
-    "lowercase-code": {"region": {"at": "Europe"}, "years": {"1990": [{"at": 1}, [], {}]}},
-    "unknown-region": {"region": {"AT": "Mars", "BE": "Europe"}},
-    "null-region": {"region": {"AT": None, "BE": "Europe"}},
-    "code-without-region": {"region": {"BE": "Europe"}},
-    "bool-weight": {"years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "BE", True]], {}]}},
-    "self-loop": {"years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "AT", 1]], {}]}},
-    "duplicate-link": {"years": {"1990": [{"AT": 2, "BE": 1}, [["AT", "BE", 1], ["BE", "AT", 1]], {}]}},
-    "link-to-uncounted-code": {"years": {"1990": [{"AT": 2}, [["AT", "BE", 1]], {}]}},
-    "zero-paper-count": {"years": {"1990": [{"AT": 0, "BE": 1}, [], {}]}},
-    "float-subject-count": {"years": {"1990": [{"AT": 2, "BE": 1}, [], {"Physics": 1.5}]}},
-    "short-bucket": {"years": {"1990": [{"AT": 2, "BE": 1}, []]}},
-    "year-out-of-range": {"years": {"99999": [{"AT": 2, "BE": 1}, [], {}]}},
-    "non-integer-year": {"years": {"19x0": [{"AT": 2, "BE": 1}, [], {}]}},
-    "years-not-an-object": {"years": []},
-    "string-papers": {"papers": "2"},
-    "negative-unknown-count": {"unknown": {"Atlantis": -1}},
+    "lowercase-code": (
+        {"region": {"at": "Europe"}, "years": {"1990": [{"at": 1}, [], {}]}},
+        "node code 'at' is not 2-3 uppercase letters",
+    ),
+    "unknown-region": (
+        {"region": {"AT": "Mars", "BE": "Europe"}},
+        f"node AT region 'Mars' is not one of {REGIONS}",
+    ),
+    "null-region": ({"region": {"AT": None, "BE": "Europe"}}, "region None has the wrong type"),
+    "code-without-region": ({"region": {"BE": "Europe"}}, "year 1990 counts code 'AT', which has no region"),
+    "bool-weight": (_bucket([["AT", "BE", True]]), "edge weight True has the wrong type"),
+    "self-loop": (_bucket([["AT", "AT", 1]]), "self-loop on AT"),
+    "duplicate-link": (_bucket([["AT", "BE", 1], ["AT", "BE", 1]]), "duplicate edge AT-BE"),
+    "reversed-link": (_bucket([["BE", "AT", 1]]), "year 1990 link ['BE', 'AT'] does not list its codes in order"),
+    "link-to-uncounted-code": (
+        {"years": {"1990": [{"AT": 2}, [["AT", "BE", 1]], {}]}},
+        "edge AT-BE references a missing node",
+    ),
+    "zero-paper-count": ({"years": {"1990": [{"AT": 0, "BE": 1}, [], {}]}}, "year 1990 paper counts must be >= 1"),
+    "float-subject-count": (
+        {"years": {"1990": [{"AT": 2, "BE": 1}, [], {"Physics": 1.5}]}},
+        "year 1990 subject count 1.5 has the wrong type",
+    ),
+    "short-bucket": (
+        {"years": {"1990": [{"AT": 2, "BE": 1}, []]}},
+        "not enough values to unpack (expected 3, got 2)",
+    ),
+    "year-out-of-range": ({"years": {"99999": [{"AT": 2, "BE": 1}, [], {}]}}, "year 99999 outside [1900, 2100]"),
+    **{
+        label: ({"years": {key: [{"AT": 2, "BE": 1}, [], {}]}}, f"year key {key!r} is not a canonical integer")
+        for label, key in (("non-integer-year", "19x0"), ("plus-year", "+1990"), ("space-year", " 1990"),
+                           ("underscore-year", "1_990"), ("zero-padded-year", "01990"),
+                           ("arabic-indic-year", "\u0661\u0669\u0669\u0660"))
+    },
+    "years-not-an-object": ({"years": []}, "years [] has the wrong type"),
+    "string-papers": ({"papers": "2"}, "papers '2' has the wrong type"),
+    "negative-unknown-count": ({"unknown": {"Atlantis": -1}}, "unknown counts must be >= 0"),
 }
 
 
-@pytest.mark.parametrize("bad", _BAD_CORPUS.values(), ids=list(_BAD_CORPUS))
-def test_malformed_corpus_json_is_data_exit(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, message", _BAD_CORPUS.values(), ids=list(_BAD_CORPUS))
+def test_malformed_corpus_json_is_data_exit(tmp_path, capsys, bad, message):
     out = tmp_path / "out"
     assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
     (out / "corpus.json").write_text(json.dumps(_CORPUS), encoding="utf-8")
@@ -562,9 +589,17 @@ def test_malformed_corpus_json_is_data_exit(tmp_path, capsys, bad):
     before = _tree_bytes(out)
     capsys.readouterr()
     assert run("build", "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error: malformed corpus document") and "Traceback" not in err
+    assert capsys.readouterr().err == f"data error: {out / 'corpus.json'}: malformed corpus document: {message}\n"
     assert _tree_bytes(out) == before
+
+
+def test_corpus_json_without_a_field_is_data_exit(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    (out / "corpus.json").write_text(json.dumps({k: v for k, v in _CORPUS.items() if k != "unknown"}), encoding="utf-8")
+    capsys.readouterr()
+    assert run("build", "--out", out) == 2
+    assert capsys.readouterr().err == f"data error: {out / 'corpus.json'}: malformed corpus document: no 'unknown' field\n"
 
 
 def test_standalone_stages_neither_parse_nor_resolve(tmp_path, capsys, monkeypatch):

@@ -3,9 +3,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coauthnet import DataError, ResolvedCorpus, UsageError, filter_topic, parse_records
-from coauthnet.ingest import coverage_stats, load_variants, write_records_jsonl
+from coauthnet.ingest import YEAR_MAX, YEAR_MIN, PublicationRecord, RecordSet, coverage_stats, load_variants
+from coauthnet.ingest import write_records_jsonl
 
 from conftest import synthetic_corpus_rows, write_jsonl
 
@@ -232,6 +235,35 @@ def test_jsonl_round_trip(tmp_path):
     write_records_jsonl(rs, tmp_path / "out.jsonl")
     again = parse_records(tmp_path / "out.jsonl")
     assert again.records == rs.records
+
+
+# Any text, and text of quotes, backslashes, control characters, line and
+# paragraph separators and BMP edge and non-BMP characters.
+_TEXT = st.text(st.characters(codec="utf-8")) | st.text(
+    st.sampled_from('a"\\/\x00\x1f\x7f\u2028\u2029\ud7ff\ue000\U0001f600\U0010ffff')
+)
+_RECORD = st.builds(
+    PublicationRecord,
+    id=_TEXT,
+    year=st.integers(YEAR_MIN, YEAR_MAX),
+    text=_TEXT,
+    raw_countries=st.lists(_TEXT, max_size=4),
+    subjects=st.lists(_TEXT, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RECORD, max_size=5))
+def test_jsonl_lines_equal_json_dumps(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    write_records_jsonl(RecordSet(records=records), path)
+    text = path.read_bytes().decode("utf-8")
+    expected = [
+        json.dumps({"id": r.id, "year": r.year, "text": r.text, "countries": r.raw_countries, "subjects": r.subjects},
+                   ensure_ascii=False, separators=(",", ":"))
+        for r in records
+    ]
+    assert text == "".join(line + "\n" for line in expected)
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,11 +1,15 @@
-"""numpy loads on the first kernel use, not when the package is imported.
+"""numpy loads on the first kernel use, not when the package is imported,
+and a command loads it with its BLAS pinned to one thread.
 
 `ingest`, `build` and `export` never touch an array, so a process that runs
-only those commands starts without numpy. Each check runs in a fresh
-interpreter, because this test process has numpy loaded already.
+only those commands starts without numpy. The kernel commands load it after
+`main` has set OPENBLAS_NUM_THREADS=1, which numpy's OpenBLAS reads when it
+loads. Each check runs in a fresh interpreter, because this test process has
+numpy loaded already.
 """
 
 import json
+import os
 import pkgutil
 import random
 import shutil
@@ -22,27 +26,43 @@ from conftest import synthetic_corpus_rows, write_jsonl
 
 SRC = Path(coauthnet.__file__).resolve().parent.parent
 
-# Runs each argv through coauthnet.cli.main, then prints, as the last stdout
-# line, whether numpy was imported and which package modules are loaded.
+# Runs `first`, then each argv through coauthnet.cli.main, then prints, as the
+# last stdout line, whether numpy was imported, the OPENBLAS_NUM_THREADS value
+# when numpy was first looked up, and which package modules are loaded.
 PROBE = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, {src!r})
+blas_threads = []
+
+class NumpyWatch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not blas_threads:
+            blas_threads.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, NumpyWatch())
+{first}
 import coauthnet.cli
 for argv in {runs!r}:
     assert coauthnet.cli.main(argv) == 0, argv
 print(json.dumps({{
     "numpy": "numpy" in sys.modules,
+    "blas_threads": blas_threads,
     "package": sorted(name for name in sys.modules if name.startswith("coauthnet.")),
 }}))
 """
 
 
-def probe(runs: list[list[str]]) -> dict:
+def probe(runs: list[list[str]], first: str = "") -> dict:
+    # In-process main() calls of other tests set the variable in this process;
+    # inherited, it would hold before the child's main() ran.
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     result = subprocess.run(
-        [sys.executable, "-c", PROBE.format(src=str(SRC), runs=runs)],
+        [sys.executable, "-c", PROBE.format(src=str(SRC), runs=runs, first=first)],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
@@ -103,4 +123,14 @@ def test_only_kernel_commands_load_numpy(tmp_path, report_tree, command, loads_n
     argv = [command, "--out", str(out), "--sw-samples", "2"]
     if command in ("ingest", "report"):
         argv += ["--input", str(corpus)]
-    assert probe([argv])["numpy"] is loads_numpy
+    found = probe([argv])
+    assert found["numpy"] is loads_numpy
+    # A kernel command loads numpy with its BLAS pinned to one thread.
+    assert found["blas_threads"] == (["1"] if loads_numpy else [])
+
+
+def test_probe_records_the_value_numpy_loads_under(monkeypatch):
+    # numpy imported before main() loads unpinned, whatever this process holds.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    found = probe([], first="import numpy")
+    assert found["numpy"] is True and found["blas_threads"] == [None]

@@ -26,6 +26,9 @@ from coauthnet.metrics import (
 )
 
 from bruteforce import (
+    INF,
+    bfs_distances,
+    floyd_distances,
     oracle_betweenness,
     oracle_closeness,
     oracle_clustering,
@@ -254,6 +257,33 @@ def test_kernel_adjacency_of_stepped_graphs_matches_edge_list(tmp_path, registry
         for a, b, _ in g.edges():
             expected[index[a], index[b]] = expected[index[b], index[a]] = True
         assert np.array_equal(_geodesics(g).dist == 1, expected), g.window
+
+
+def test_bfs_distances_equal_floyd():
+    rng = random.Random(4)
+    for n, p in ((12, 0.15), (30, 0.1), (30, 0.5)):
+        labels, edges = random_edges(rng, n, p)
+        assert bfs_distances(labels, edges) == floyd_distances(labels, edges)
+
+
+@pytest.mark.parametrize("n, p, seed", [(176, 0.4, 1), (176, 0.012, 2), (300, 0.05, 3), (300, 0.006, 4)])
+def test_kernel_equals_oracles_at_blas_threading_sizes(n, p, seed):
+    """Products of n x n matrices at these sizes run threaded in a BLAS that
+    is not pinned to one thread, as in a test process that does not set
+    OPENBLAS_NUM_THREADS: distances, triangles and betweenness must come out
+    exact, on dense graphs and on sparse ones with many levels alike."""
+    labels, edges = random_edges(random.Random(seed), n, p)
+    g = graph_from_edges(edges, nodes=labels)
+    codes = g.codes()
+    geo = _geodesics(g)
+    oracle = bfs_distances(labels, edges)
+    assert geo.dist.tolist() == [[0 if oracle[(a, b)] is INF else oracle[(a, b)] for b in codes] for a in codes]
+    per_node, _ = oracle_clustering(labels, edges, "zero_low_degree")
+    assert geo.clustering_terms("zero_low_degree") == [per_node[code] for code in codes]
+    degree = g.degrees()
+    links = [round(per_node[code] * degree[code] * (degree[code] - 1) / 2) for code in codes]
+    assert geo.triangles.tolist() == links
+    assert betweenness(g) == loop_betweenness(g)
 
 
 def test_betweenness_counts_2_pow_40_geodesics_exactly():
