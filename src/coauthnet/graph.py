@@ -80,13 +80,34 @@ def _node_from_dict(nd: dict) -> NodeAttr:
     return attr
 
 
-def _nodes_and_edges(nodes, edges) -> tuple[list[NodeAttr], list[tuple[str, str, int]]]:
-    """The checked nodes and (a, b, weight) edges of graph.json lists; KeyError,
-    TypeError or ValueError if malformed."""
-    return [_node_from_dict(nd) for nd in nodes], [
-        (_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
-        for a, b, w in edges
-    ]
+def _edges(links) -> list[tuple[str, str, int]]:
+    """The (a, b, weight) edges of a JSON list of [a, b, weight]; TypeError or ValueError if malformed."""
+    return [(_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
+            for a, b, w in links]
+
+
+def _checked(nodes, edges) -> tuple[list[NodeAttr], dict[str, dict[str, int]]]:
+    """The nodes sorted by code and the symmetric adjacency of the (a, b, weight)
+    edges over them, as CoauthorshipGraph takes them. DataError for a duplicate
+    node, a self-loop, an edge to a missing node, a weight that is not a positive
+    int, or an edge listed twice in either orientation."""
+    nodes = sorted(nodes, key=lambda a: a.code)
+    adj: dict[str, dict[str, int]] = {}
+    for attr in nodes:
+        if attr.code in adj:
+            raise DataError(f"duplicate node {attr.code}")
+        adj[attr.code] = {}
+    for a, b, w in sorted(edges):
+        if a == b:
+            raise DataError(f"self-loop on {a}")
+        if a not in adj or b not in adj:
+            raise DataError(f"edge {a}-{b} references a missing node")
+        if not isinstance(w, int) or w < 1:
+            raise DataError(f"edge {a}-{b} weight {w!r} must be a positive integer")
+        if b in adj[a]:
+            raise DataError(f"duplicate edge {a}-{b}")
+        adj[a][b] = adj[b][a] = w
+    return nodes, adj
 
 
 def _year_key(key: str) -> int:
@@ -102,39 +123,14 @@ def _year_key(key: str) -> int:
 class CoauthorshipGraph:
     """Undirected weighted simple graph over country codes."""
 
-    def __init__(self, nodes, edges, window: TimeWindow):
+    def __init__(self, nodes: list[NodeAttr], adj: dict[str, dict[str, int]], window: TimeWindow):
+        """A graph from nodes sorted by code and a symmetric adjacency with positive
+        int weights over those nodes, taken as given: the rows are copied, nothing
+        is sorted or checked. An edge list from outside goes through _checked first."""
         self.window = window
-        self._nodes: dict[str, NodeAttr] = {}
-        for attr in sorted(nodes, key=lambda a: a.code):
-            if attr.code in self._nodes:
-                raise DataError(f"duplicate node {attr.code}")
-            self._nodes[attr.code] = attr
-        self._adj: dict[str, dict[str, int]] = {code: {} for code in self._nodes}
-        self._m = 0
-        for a, b, w in sorted(edges):
-            if a == b:
-                raise DataError(f"self-loop on {a}")
-            if a not in self._nodes or b not in self._nodes:
-                raise DataError(f"edge {a}-{b} references a missing node")
-            if not isinstance(w, int) or w < 1:
-                raise DataError(f"edge {a}-{b} weight {w!r} must be a positive integer")
-            if b in self._adj[a]:
-                raise DataError(f"duplicate edge {a}-{b}")
-            self._adj[a][b] = w
-            self._adj[b][a] = w
-            self._m += 1
-
-    @classmethod
-    def _trusted(cls, nodes: list[NodeAttr], adj: dict[str, dict[str, int]], window: TimeWindow):
-        """A graph from nodes sorted by code and a symmetric adjacency with
-        positive int weights over those nodes, taken as given: the rows are
-        copied, nothing is sorted or checked. Only ResolvedCorpus calls it."""
-        g = cls.__new__(cls)
-        g.window = window
-        g._nodes = {attr.code: attr for attr in nodes}
-        g._adj = {attr.code: dict(adj.get(attr.code, ())) for attr in nodes}
-        g._m = sum(map(len, g._adj.values())) // 2
-        return g
+        self._nodes = {attr.code: attr for attr in nodes}
+        self._adj = {attr.code: dict(adj.get(attr.code, ())) for attr in nodes}
+        self._m = sum(map(len, self._adj.values())) // 2
 
     @property
     def n(self) -> int:
@@ -196,10 +192,11 @@ class CoauthorshipGraph:
                 _typed(doc["window"]["start_year"], int, "window start_year"),
                 _typed(doc["window"]["end_year"], int, "window end_year"),
             )
-            nodes, edges = _nodes_and_edges(doc["nodes"], doc["edges"])
+            nodes = [_node_from_dict(nd) for nd in doc["nodes"]]
+            edges = _edges(doc["edges"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed graph document: {exc}") from exc
-        return cls(nodes, edges, window)
+        return cls(*_checked(nodes, edges), window)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -223,22 +220,9 @@ def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> Coa
     Convenience for synthetic graphs; node attributes beyond the code are
     left unset.
     """
-    norm = []
-    for edge in edges:
-        if len(edge) == 2:
-            a, b = edge
-            w = 1
-        else:
-            a, b, w = edge
-        if a == b:
-            raise DataError(f"self-loop on {a}")
-        a, b = (a, b) if a < b else (b, a)
-        norm.append((a, b, w))
-    codes = set(nodes or [])
-    codes.update(a for a, _, _ in norm)
-    codes.update(b for _, b, _ in norm)
-    attrs = [NodeAttr(code=c) for c in sorted(codes)]
-    return CoauthorshipGraph(attrs, norm, window or TimeWindow(0, 0))
+    edges = [(*edge, 1) if len(edge) == 2 else edge for edge in edges]
+    codes = {*(nodes or ()), *(code for a, b, _ in edges for code in (a, b))}
+    return CoauthorshipGraph(*_checked(map(NodeAttr, codes), edges), window or TimeWindow(0, 0))
 
 
 def _add(totals: dict, delta: dict, sign: int) -> None:
@@ -279,7 +263,6 @@ class ResolvedCorpus:
     def __init__(self, rs: RecordSet, registry: CountryRegistry):
         self.papers = len(rs.records)
         self.with_affiliation = 0
-        self.first_year: dict[str, int] = {}
         self.unknown: dict[str, int] = {}
         self.subjects: dict[int, dict[str, int]] = {}
         self._years: dict[int, tuple[dict[str, int], dict[str, dict[str, int]]]] = {}
@@ -301,12 +284,16 @@ class ResolvedCorpus:
             counts, adj = self._years.setdefault(record.year, ({}, {}))
             for code in found:
                 counts[code] = counts.get(code, 0) + 1
-                if code not in self.first_year or record.year < self.first_year[code]:
-                    self.first_year[code] = record.year
             for a, b in permutations(found, 2):
                 row = adj.setdefault(a, {})
                 row[b] = row.get(b, 0) + 1
+        self._index_years()
         self.region = {code: registry.get(code).region for code in self.first_year}
+
+    def _index_years(self) -> None:
+        """Set first_year (each code's first year bucket; the years run backwards, so
+        the earliest is the one kept) and span from the year buckets."""
+        self.first_year = {code: year for year in sorted(self._years, reverse=True) for code in self._years[year][0]}
         self.span: tuple[int, int] | None = (min(self._years), max(self._years)) if self._years else None
 
     def to_json(self) -> str:
@@ -319,40 +306,43 @@ class ResolvedCorpus:
 
     @classmethod
     def load(cls, path: str | Path) -> "ResolvedCorpus":
-        """The corpus of a corpus.json. Each year's nodes and links are checked as a
-        graph.json's are; a code's first year is its first bucket's. DataError naming
-        the file if malformed, or if a year key or a link is not spelled as to_json
-        writes it."""
+        """The corpus of a corpus.json. Its region map is checked as graph.json nodes
+        are, and each year's links as graph.json edges are (_checked). DataError naming
+        the file if malformed, or if a year key, a link or a year's link list is not
+        spelled as to_json writes it."""
         doc = read_json(path)
         corpus = cls.__new__(cls)
-        corpus.first_year, corpus.subjects, corpus._years = {}, {}, {}
+        corpus.subjects, corpus._years = {}, {}
         try:
             corpus.papers = _typed(doc["papers"], int, "papers")
             corpus.with_affiliation = _typed(doc["with_affiliation"], int, "with_affiliation")
-            corpus.region = {c: _typed(r, str, "region") for c, r in _typed(doc["region"], dict, "region").items()}
+            corpus.region = _typed(doc["region"], dict, "region")
+            for code, region in corpus.region.items():
+                _node_from_dict({"code": code, "region": _typed(region, str, "region")})
             corpus.unknown = _counts(doc["unknown"], "unknown")
             years = _typed(doc["years"], dict, "years")
             for year, bucket in sorted((_year_key(key), value) for key, value in years.items()):
-                counts, links, subjects = _typed(bucket, list, f"year {year}")
+                if len(_typed(bucket, list, f"year {year}")) != 3:
+                    raise ValueError(f"year {year} has {len(bucket)} entries, not 3: paper counts, links, subject counts")
+                counts, links, subjects = bucket
                 counts = _counts(counts, f"year {year} paper", floor=1)
-                nodes = []
-                for code, n in counts.items():
+                for code in counts:
                     if code not in corpus.region:
                         raise ValueError(f"year {year} counts code {code!r}, which has no region")
-                    nodes.append({"code": code, "paper_count": n, "region": corpus.region[code]})
-                    corpus.first_year.setdefault(code, year)
-                nodes, edges = _nodes_and_edges(nodes, links)
+                edges = _edges(links)
                 for a, b, _ in edges:
                     if a > b:
                         raise ValueError(f"year {year} link {[a, b]} does not list its codes in order")
-                g = CoauthorshipGraph(nodes, edges, TimeWindow(year, year))
-                corpus._years[year] = counts, {code: row for code, row in g._adj.items() if row}
+                if edges != sorted(edges):
+                    raise ValueError(f"year {year} links are not sorted")
+                _, adj = _checked(map(NodeAttr, counts), edges)
+                corpus._years[year] = counts, {code: row for code, row in adj.items() if row}
                 corpus.subjects[year] = _counts(subjects, f"year {year} subject")
         except KeyError as exc:
             raise DataError(f"{path}: malformed corpus document: no {exc} field") from exc
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed corpus document: {exc}") from exc
-        corpus.span = (min(corpus._years), max(corpus._years)) if corpus._years else None
+        corpus._index_years()
         return corpus
 
     @cached_property
@@ -398,7 +388,7 @@ class ResolvedCorpus:
                 )
                 for code in sorted(counts)
             ]
-            yield CoauthorshipGraph._trusted(nodes, adj, window)
+            yield CoauthorshipGraph(nodes, adj, window)
 
     def sizes(self, windows):
         """Yield (n, m) of each window's graph, counted without building it."""
@@ -425,6 +415,5 @@ def induced_subgraph(g: CoauthorshipGraph, keep) -> CoauthorshipGraph:
     unknown = keep - set(g.codes())
     if unknown:
         raise UsageError(f"unknown codes in keep set: {sorted(unknown)}")
-    nodes = [g.node(c) for c in sorted(keep)]
     edges = [(a, b, w) for a, b, w in g.edges() if a in keep and b in keep]
-    return CoauthorshipGraph(nodes, edges, g.window)
+    return CoauthorshipGraph(*_checked(map(g.node, keep), edges), g.window)

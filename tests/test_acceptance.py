@@ -134,14 +134,14 @@ def test_criterion_4_densification_recovery():
 def test_criterion_5_cumulative_monotonicity(tmp_path):
     t0 = time.monotonic()
     from coauthnet import CountryRegistry, ResolvedCorpus, parse_records, slice_windows, summary
-    from coauthnet.graph import build_network
 
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
     corpus = write_jsonl(tmp_path / "corpus.jsonl", densifying_corpus_rows(30))
     rs = parse_records(corpus)
-    windows = slice_windows(ResolvedCorpus(rs, registry).span, 5, 5, "cumulative")
+    resolved = ResolvedCorpus(rs, registry)
+    windows = slice_windows(resolved.span, 5, 5, "cumulative")
     assert len(windows) == 6
-    graphs = [build_network(rs, registry, w) for w in windows]
+    graphs = [resolved.graph(w) for w in windows]
     summaries = [summary(g) for g in graphs]
 
     for earlier, later in zip(summaries, summaries[1:]):

@@ -562,10 +562,17 @@ _BAD_CORPUS = {
         {"years": {"1990": [{"AT": 2, "BE": 1}, [], {"Physics": 1.5}]}},
         "year 1990 subject count 1.5 has the wrong type",
     ),
-    "short-bucket": (
-        {"years": {"1990": [{"AT": 2, "BE": 1}, []]}},
-        "not enough values to unpack (expected 3, got 2)",
+    "unsorted-links": (
+        {
+            "region": {"AT": "Europe", "BE": "Europe", "CH": "Europe"},
+            "years": {"1990": [{"AT": 2, "BE": 1, "CH": 1}, [["AT", "CH", 1], ["AT", "BE", 1]], {}]},
+        },
+        "year 1990 links are not sorted",
     ),
+    **{
+        label: ({"years": {"1990": bucket}}, f"year 1990 has {len(bucket)} entries, not 3: paper counts, links, subject counts")
+        for label, bucket in (("short-bucket", [{"AT": 2, "BE": 1}, []]), ("long-bucket", [{"AT": 2, "BE": 1}, [], {}, {}]))
+    },
     "year-out-of-range": ({"years": {"99999": [{"AT": 2, "BE": 1}, [], {}]}}, "year 99999 outside [1900, 2100]"),
     **{
         label: ({"years": {key: [{"AT": 2, "BE": 1}, [], {}]}}, f"year key {key!r} is not a canonical integer")

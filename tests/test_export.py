@@ -24,7 +24,7 @@ from coauthnet.export import (
     write_dot,
     write_pajek,
 )
-from coauthnet.graph import CoauthorshipGraph, NodeAttr, graph_from_edges
+from coauthnet.graph import CoauthorshipGraph, NodeAttr, _checked, graph_from_edges
 from coauthnet.temporal import SUMMARY_SELECTORS, WindowSeries
 
 from conftest import FIXTURE_EDGES, random_edges
@@ -32,7 +32,7 @@ from conftest import FIXTURE_EDGES, random_edges
 
 def attr_graph(edges, attrs):
     nodes = [NodeAttr(code, **fields) for code, fields in attrs.items()]
-    return CoauthorshipGraph(nodes, [(a, b, w) for a, b, w in edges], TimeWindow(0, 0))
+    return CoauthorshipGraph(*_checked(nodes, edges), TimeWindow(0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from coauthnet import (
     slice_windows,
     summary,
 )
-from coauthnet.graph import UNCLASSIFIED_SUBJECT, NodeAttr, build_network, graph_from_edges, induced_subgraph
+from coauthnet.graph import UNCLASSIFIED_SUBJECT, NodeAttr, _checked, build_network, graph_from_edges, induced_subgraph
 from coauthnet.ingest import PublicationRecord, RecordSet
 from coauthnet.temporal import densification_snapshots, discipline_series, first_year_series
 
@@ -36,7 +36,7 @@ def test_build_from_records(tmp_path, registry):
         {"id": "p2", "year": 1991, "countries": ["Ukraine", "United States"]},
         {"id": "p3", "year": 1992, "countries": ["Ukraine"]},
     ]
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     assert g.codes() == ["RUS", "UKR", "USA"]
     assert g.node("UKR").paper_count == 3
     assert g.node("RUS").paper_count == 1
@@ -46,7 +46,7 @@ def test_build_from_records(tmp_path, registry):
 
 def test_three_country_record_expands_pairwise(tmp_path, registry):
     rows = [{"id": "p1", "year": 1990, "countries": ["Ukraine", "Russia", "Germany"]}]
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     assert g.edges() == [("DEU", "RUS", 1), ("DEU", "UKR", 1), ("RUS", "UKR", 1)]
 
 
@@ -55,7 +55,7 @@ def test_window_excludes_out_of_range_records(tmp_path, registry):
         {"id": "p1", "year": 1986, "countries": ["Ukraine"]},
         {"id": "p2", "year": 2000, "countries": ["France", "Japan"]},
     ]
-    g = build_network(_corpus(tmp_path, rows), registry, TimeWindow(1999, 2001))
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph(TimeWindow(1999, 2001))
     assert g.codes() == ["FRA", "JPN"]
     assert not g.has_node("UKR")
 
@@ -65,7 +65,7 @@ def test_repeat_collaboration_accumulates_weight(tmp_path, registry):
         {"id": "p1", "year": 1990, "countries": ["Ukraine", "Russia"]},
         {"id": "p2", "year": 1991, "countries": ["Russia", "Ukraine"]},
     ]
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     assert g.weight("RUS", "UKR") == 2
     assert g.node("UKR").paper_count == 2
 
@@ -73,14 +73,14 @@ def test_repeat_collaboration_accumulates_weight(tmp_path, registry):
 def test_same_country_twice_in_record_is_single_node(tmp_path, registry):
     # Aliases of one country collapse to a single code, so no self-loop.
     rows = [{"id": "p1", "year": 1990, "countries": ["United States", "USA"]}]
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     assert g.codes() == ["USA"]
     assert g.m == 0
 
 
 def test_unknown_countries_dropped_but_known_kept(tmp_path, registry):
     rows = [{"id": "p1", "year": 1990, "countries": ["Atlantis", "Ukraine", "France"]}]
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     assert g.codes() == ["FRA", "UKR"]
     assert g.edges() == [("FRA", "UKR", 1)]
 
@@ -90,14 +90,14 @@ def test_first_year_spans_whole_corpus(tmp_path, registry):
         {"id": "p1", "year": 1986, "countries": ["Ukraine"]},
         {"id": "p2", "year": 2005, "countries": ["Ukraine", "France"]},
     ]
-    g = build_network(_corpus(tmp_path, rows), registry, TimeWindow(2004, 2006))
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph(TimeWindow(2004, 2006))
     assert g.node("UKR").first_year == 1986
     assert g.node("FRA").first_year == 2005
 
 
 def test_node_regions_come_from_registry(tmp_path, registry):
     rows = [{"id": "p1", "year": 1990, "countries": ["Ukraine", "Japan"]}]
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     assert g.node("UKR").region == "Europe"
     assert g.node("JPN").region == "Asia"
 
@@ -136,7 +136,7 @@ def test_degree_sum_and_symmetry_on_built_graphs(tmp_path, registry):
     rng = random.Random(5)
     names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada", "Australia", "India"]
     rows = synthetic_corpus_rows(rng, 300, names)
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     degrees = g.degrees()
     assert sum(degrees.values()) == 2 * g.m
     for a, b, w in g.edges():
@@ -151,9 +151,9 @@ def test_build_is_additive_over_record_partitions(tmp_path, registry):
     rng = random.Random(9)
     names = ["Ukraine", "France", "Japan", "Brazil", "Egypt"]
     rows = synthetic_corpus_rows(rng, 200, names)
-    full = build_network(_corpus(tmp_path, rows), registry)
-    part_a = build_network(_corpus(tmp_path, rows[::2]), registry)
-    part_b = build_network(_corpus(tmp_path, rows[1::2]), registry)
+    full = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
+    part_a = ResolvedCorpus(_corpus(tmp_path, rows[::2]), registry).graph()
+    part_b = ResolvedCorpus(_corpus(tmp_path, rows[1::2]), registry).graph()
 
     merged_weights = {}
     for part in (part_a, part_b):
@@ -337,7 +337,7 @@ def test_induced_subgraph():
 
 def test_induced_subgraph_keeps_attributes(tmp_path, registry):
     rows = [{"id": "p1", "year": 1990, "countries": ["Ukraine", "France"]}]
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     sub = induced_subgraph(g, {"UKR"})
     assert sub.node("UKR") == g.node("UKR")
 
@@ -345,7 +345,7 @@ def test_induced_subgraph_keeps_attributes(tmp_path, registry):
 def test_json_round_trip(tmp_path, registry):
     rng = random.Random(2)
     rows = synthetic_corpus_rows(rng, 100, ["Ukraine", "France", "Japan"])
-    g = build_network(_corpus(tmp_path, rows), registry)
+    g = ResolvedCorpus(_corpus(tmp_path, rows), registry).graph()
     assert CoauthorshipGraph.from_dict(json.loads(g.to_json())) == g
     g.save(tmp_path / "graph.json")
     assert CoauthorshipGraph.load(tmp_path / "graph.json") == g
@@ -369,14 +369,42 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def test_graph_validation():
-    with pytest.raises(DataError, match="self-loop"):
+    a, b = NodeAttr("A"), NodeAttr("B")
+    with pytest.raises(DataError, match="^self-loop on A$"):
         graph_from_edges([("A", "A")])
-    with pytest.raises(DataError, match="missing node"):
-        CoauthorshipGraph([NodeAttr("A")], [("A", "B", 1)], TimeWindow(0, 0))
-    with pytest.raises(DataError, match="weight"):
-        CoauthorshipGraph([NodeAttr("A"), NodeAttr("B")], [("A", "B", 0)], TimeWindow(0, 0))
-    with pytest.raises(DataError, match="duplicate edge"):
-        CoauthorshipGraph([NodeAttr("A"), NodeAttr("B")], [("A", "B", 1), ("B", "A", 1)], TimeWindow(0, 0))
+    for nodes, edges, message in (
+        ([a], [("A", "B", 1)], "edge A-B references a missing node"),
+        ([a, b], [("A", "B", 0)], "edge A-B weight 0 must be a positive integer"),
+        ([a, b], [("A", "B", 1), ("B", "A", 1)], "duplicate edge B-A"),
+        ([a, a], [], "duplicate node A"),
+    ):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            _checked(nodes, edges)
+
+
+# Edge faults, and the message that names each in a graph.json and in a corpus.json year.
+_EDGE_FAULTS = {
+    "self-loop": ([["AT", "AT", 1]], "self-loop on AT"),
+    "missing-endpoint": ([["AT", "CH", 1]], "edge AT-CH references a missing node"),
+    "zero-weight": ([["AT", "BE", 0]], "edge AT-BE weight 0 must be a positive integer"),
+    "bool-weight": ([["AT", "BE", True]], "edge weight True has the wrong type"),
+    "float-weight": ([["AT", "BE", 1.5]], "edge weight 1.5 has the wrong type"),
+    "int-endpoint": ([["AT", 7, 1]], "edge endpoint 7 has the wrong type"),
+    "duplicate-edge": ([["AT", "BE", 1], ["AT", "BE", 2]], "duplicate edge AT-BE"),
+}
+
+
+@pytest.mark.parametrize("links, message", _EDGE_FAULTS.values(), ids=list(_EDGE_FAULTS))
+def test_edge_faults_read_alike_in_graph_and_corpus_json(tmp_path, links, message):
+    graph = {"window": {"start_year": 1990, "end_year": 1990}, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": links}
+    corpus = {"papers": 2, "with_affiliation": 2, "region": {"AT": "Europe", "BE": "Europe"}, "unknown": {},
+              "years": {"1990": [{"AT": 2, "BE": 1}, links, {}]}}
+    for kind, doc, load in (("graph", graph, CoauthorshipGraph.load), ("corpus", corpus, ResolvedCorpus.load)):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load(path)
+        assert str(caught.value).removeprefix(f"{path}: ").removeprefix(f"malformed {kind} document: ") == message, kind
 
 
 def test_empty_records_skipped_for_graph_but_counted(tmp_path, registry):

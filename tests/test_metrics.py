@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coauthnet import ResolvedCorpus, UsageError, parse_records, slice_windows, summary
-from coauthnet.graph import build_network, graph_from_edges
+from coauthnet.graph import graph_from_edges
 from coauthnet.metrics import (
     _geodesics,
     betweenness,
@@ -236,7 +236,7 @@ def test_betweenness_below_three_nodes_equals_loop(edges, nodes):
 def criterion_9_graph(tmp_path, registry):
     names = [registry.get(code).display_name for code in registry.codes()[:100]]
     rows = synthetic_corpus_rows(random.Random(0), 10000, names)
-    g = build_network(parse_records(write_jsonl(tmp_path / "big.jsonl", rows)), registry)
+    g = ResolvedCorpus(parse_records(write_jsonl(tmp_path / "big.jsonl", rows)), registry).graph()
     assert (g.n, g.m) == (100, 2453)
     return g
 

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coauthnet import CountryRegistry, ResolvedCorpus, TimeWindow, UsageError, parse_records, slice_windows, summary
-from coauthnet.graph import UNCLASSIFIED_SUBJECT, build_network
+from coauthnet.graph import UNCLASSIFIED_SUBJECT
 from coauthnet.temporal import (
     SUMMARY_SELECTORS,
     densification_fit,
@@ -162,7 +162,7 @@ def test_sliding_windows_ignore_outside_records(tmp_path, registry):
         {"id": "out2", "year": 1996, "countries": ["Egypt", "Canada"]},
     ]
     rs = _corpus(tmp_path, rows)
-    g = build_network(rs, registry, TimeWindow(1991, 1995))
+    g = ResolvedCorpus(rs, registry).graph(TimeWindow(1991, 1995))
     assert g.codes() == ["FRA", "UKR"]
 
 
@@ -173,8 +173,8 @@ def test_sliding_windows_ignore_outside_records(tmp_path, registry):
 def test_cumulative_snapshots_nest(tmp_path):
     registry = CountryRegistry.from_csv(densifying_registry_csv(tmp_path / "registry.csv"))
     rs = _corpus(tmp_path, densifying_corpus_rows())
-    windows = slice_windows(ResolvedCorpus(rs, registry).span, 5, 5, "cumulative")
-    graphs = [build_network(rs, registry, w) for w in windows]
+    corpus = ResolvedCorpus(rs, registry)
+    graphs = [corpus.graph(w) for w in slice_windows(corpus.span, 5, 5, "cumulative")]
     for small, big in zip(graphs, graphs[1:]):
         assert set(small.codes()) <= set(big.codes())
         small_edges = {(a, b): w for a, b, w in small.edges()}
