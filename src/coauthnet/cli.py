@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
-from .countries import REGIONS, CountryRegistry, builtin_registry
+from .countries import CountryRegistry, builtin_registry
 from .errors import DataError, UsageError, read_json
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
@@ -352,7 +352,7 @@ def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
             corpus = inputs["corpus.json"]
             first_years, cumulative = first_year_series(corpus)
             out.json("first_years.json", first_years)
-            regions_csv, regions_svg = emit_series(cumulative, columns=list(REGIONS))
+            regions_csv, regions_svg = emit_series(cumulative)
             out.text("regions_cumulative.csv", regions_csv)
             out.text("regions_cumulative.svg", regions_svg)
             disc_csv, disc_svg = emit_series(discipline_series(corpus))

@@ -428,14 +428,13 @@ def _line_chart_svg(x_values: list[float], columns: dict[str, list[float]]) -> s
     return out.getvalue()
 
 
-def emit_series(series, columns: list[str] | None = None) -> tuple[str, str | None]:
+def emit_series(series) -> tuple[str, str | None]:
     """Serialize a series to CSV; a year mapping also gets a line chart SVG.
 
     Accepts a WindowSeries (one row per window, no chart) or a mapping of
-    series key to {year: value} (one row per year, one column per key;
-    missing cells are 0; column order defaults to sorted keys). With no
-    year the chart draws its axes, y ticks and legend, but no x tick and
-    no line.
+    series key to {year: value} (one row per year, one column per key in
+    the mapping's order; missing cells are 0). With no year the chart draws
+    its axes, y ticks and legend, but no x tick and no line.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -446,10 +445,9 @@ def emit_series(series, columns: list[str] | None = None) -> tuple[str, str | No
             writer.writerow([window.start_year, window.end_year, *map(_format_cell, row)])
         return buf.getvalue(), None
 
-    keys = columns if columns is not None else sorted(series)
     years = sorted({year for per_year in series.values() for year in per_year})
-    writer.writerow(["year", *keys])
+    writer.writerow(["year", *series])
     for year in years:
-        writer.writerow([year] + [_format_cell(series[key].get(year, 0)) for key in keys])
-    chart_columns = {key: [float(series[key].get(year, 0)) for year in years] for key in keys}
+        writer.writerow([year] + [_format_cell(per_year.get(year, 0)) for per_year in series.values()])
+    chart_columns = {key: [float(per_year.get(year, 0)) for year in years] for key, per_year in series.items()}
     return buf.getvalue(), _line_chart_svg([float(y) for y in years], chart_columns)

@@ -82,32 +82,44 @@ def _node_from_dict(nd: dict) -> NodeAttr:
 
 def _edges(links) -> list[tuple[str, str, int]]:
     """The (a, b, weight) edges of a JSON list of [a, b, weight]; TypeError or ValueError if malformed."""
-    return [(_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
-            for a, b, w in links]
+    try:
+        return [(_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
+                for a, b, w in links]
+    except (TypeError, ValueError):
+        for link in links:  # name an edge of the wrong type or length, not the entry unpacking it reached
+            if len(_typed(link, list, "edge")) != 3:
+                raise ValueError(f"edge {link!r} has {len(link)} entries, not 3") from None
+        raise
 
 
-def _checked(nodes, edges) -> tuple[list[NodeAttr], dict[str, dict[str, int]]]:
-    """The nodes sorted by code and the symmetric adjacency of the (a, b, weight)
-    edges over them, as CoauthorshipGraph takes them. DataError for a duplicate
-    node, a self-loop, an edge to a missing node, a weight that is not a positive
-    int, or an edge listed twice in either orientation."""
-    nodes = sorted(nodes, key=lambda a: a.code)
-    adj: dict[str, dict[str, int]] = {}
-    for attr in nodes:
-        if attr.code in adj:
-            raise DataError(f"duplicate node {attr.code}")
-        adj[attr.code] = {}
-    for a, b, w in sorted(edges):
-        if a == b:
-            raise DataError(f"self-loop on {a}")
+def _links(adj: dict[str, dict[str, int]]) -> list[tuple[str, str, int]]:
+    """The edges of a symmetric adjacency as (a, b, weight) with a < b, sorted: the one
+    spelling of an edge list that graph.json and corpus.json write and _checked reads."""
+    return sorted([(a, b, w) for a, row in adj.items() for b, w in row.items() if a < b])
+
+
+def _checked(codes: list[str], edges) -> dict[str, dict[str, int]]:
+    """The symmetric adjacency of (a, b, weight) edges over node codes, both spelled as _links
+    writes them: codes strictly ascending, each edge a < b, edges sorted. Nothing is sorted here.
+    DataError for a duplicate or misplaced node or edge, a self-loop, a reversed edge, an edge to
+    a missing node, or a weight that is not a positive int."""
+    for prev, code in zip(codes, codes[1:]):
+        if code <= prev:
+            raise DataError(f"duplicate node {code}" if code == prev else f"node {code} is listed after {prev}")
+    adj: dict[str, dict[str, int]] = {code: {} for code in codes}
+    pa = pb = ""
+    for a, b, w in edges:
+        if a >= b:
+            raise DataError(f"self-loop on {a}" if a == b else f"edge {a}-{b} does not list its codes in order")
         if a not in adj or b not in adj:
             raise DataError(f"edge {a}-{b} references a missing node")
         if not isinstance(w, int) or w < 1:
             raise DataError(f"edge {a}-{b} weight {w!r} must be a positive integer")
-        if b in adj[a]:
-            raise DataError(f"duplicate edge {a}-{b}")
+        if a < pa or (a == pa and b <= pb):
+            raise DataError(f"duplicate edge {a}-{b}" if (a, b) == (pa, pb) else f"edge {a}-{b} is listed after {pa}-{pb}")
         adj[a][b] = adj[b][a] = w
-    return nodes, adj
+        pa, pb = a, b
+    return adj
 
 
 def _year_key(key: str) -> int:
@@ -167,7 +179,7 @@ class CoauthorshipGraph:
 
     def edges(self) -> list[tuple[str, str, int]]:
         """Edges as (a, b, weight) with a < b, sorted."""
-        return [(a, b, w) for a, nbrs in self._adj.items() for b, w in sorted(nbrs.items()) if a < b]
+        return _links(self._adj)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoauthorshipGraph):
@@ -193,10 +205,12 @@ class CoauthorshipGraph:
                 _typed(doc["window"]["end_year"], int, "window end_year"),
             )
             nodes = [_node_from_dict(nd) for nd in doc["nodes"]]
-            edges = _edges(doc["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
+            adj = _checked([attr.code for attr in nodes], _edges(doc["edges"]))
+        except KeyError as exc:
+            raise DataError(f"malformed graph document: no {exc} field") from exc
+        except (TypeError, ValueError) as exc:
             raise DataError(f"malformed graph document: {exc}") from exc
-        return cls(*_checked(nodes, edges), window)
+        return cls(nodes, adj, window)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -217,12 +231,13 @@ class CoauthorshipGraph:
 def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> CoauthorshipGraph:
     """Build a graph directly from an edge list (weights default to 1).
 
-    Convenience for synthetic graphs; node attributes beyond the code are
-    left unset.
+    Convenience for synthetic graphs: edges come in any order and orientation,
+    and node attributes beyond the code are left unset.
     """
     edges = [(*edge, 1) if len(edge) == 2 else edge for edge in edges]
-    codes = {*(nodes or ()), *(code for a, b, _ in edges for code in (a, b))}
-    return CoauthorshipGraph(*_checked(map(NodeAttr, codes), edges), window or TimeWindow(0, 0))
+    edges = sorted((min(a, b), max(a, b), w) for a, b, w in edges)
+    codes = sorted({*(nodes or ()), *(code for a, b, _ in edges for code in (a, b))})
+    return CoauthorshipGraph(list(map(NodeAttr, codes)), _checked(codes, edges), window or TimeWindow(0, 0))
 
 
 def _add(totals: dict, delta: dict, sign: int) -> None:
@@ -298,8 +313,7 @@ class ResolvedCorpus:
 
     def to_json(self) -> str:
         """corpus.json: sorted compact JSON; per year [paper counts, links [a, b, w] with a < b, subject counts]."""
-        years = {str(year): [counts, sorted([a, b, w] for a, row in adj.items() for b, w in row.items() if a < b),
-                             self.subjects[year]] for year, (counts, adj) in self._years.items()}
+        years = {str(year): [counts, _links(adj), self.subjects[year]] for year, (counts, adj) in self._years.items()}
         doc = {"papers": self.papers, "with_affiliation": self.with_affiliation, "region": self.region,
                "unknown": self.unknown, "years": years}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -308,14 +322,16 @@ class ResolvedCorpus:
     def load(cls, path: str | Path) -> "ResolvedCorpus":
         """The corpus of a corpus.json. Its region map is checked as graph.json nodes
         are, and each year's links as graph.json edges are (_checked). DataError naming
-        the file if malformed, or if a year key, a link or a year's link list is not
-        spelled as to_json writes it."""
+        the file if malformed, if a year key is not spelled as to_json writes it, or for
+        counts no record set yields: with_affiliation outside [0, papers], a region no year counts."""
         doc = read_json(path)
         corpus = cls.__new__(cls)
         corpus.subjects, corpus._years = {}, {}
         try:
             corpus.papers = _typed(doc["papers"], int, "papers")
             corpus.with_affiliation = _typed(doc["with_affiliation"], int, "with_affiliation")
+            if not 0 <= corpus.with_affiliation <= corpus.papers:
+                raise ValueError(f"with_affiliation {corpus.with_affiliation} is not within [0, papers {corpus.papers}]")
             corpus.region = _typed(doc["region"], dict, "region")
             for code, region in corpus.region.items():
                 _node_from_dict({"code": code, "region": _typed(region, str, "region")})
@@ -329,20 +345,16 @@ class ResolvedCorpus:
                 for code in counts:
                     if code not in corpus.region:
                         raise ValueError(f"year {year} counts code {code!r}, which has no region")
-                edges = _edges(links)
-                for a, b, _ in edges:
-                    if a > b:
-                        raise ValueError(f"year {year} link {[a, b]} does not list its codes in order")
-                if edges != sorted(edges):
-                    raise ValueError(f"year {year} links are not sorted")
-                _, adj = _checked(map(NodeAttr, counts), edges)
+                adj = _checked(sorted(counts), _edges(links))
                 corpus._years[year] = counts, {code: row for code, row in adj.items() if row}
                 corpus.subjects[year] = _counts(subjects, f"year {year} subject")
+            corpus._index_years()
+            if uncounted := sorted(corpus.region.keys() - corpus.first_year.keys()):
+                raise ValueError(f"region codes {uncounted} are counted in no year")
         except KeyError as exc:
             raise DataError(f"{path}: malformed corpus document: no {exc} field") from exc
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed corpus document: {exc}") from exc
-        corpus._index_years()
         return corpus
 
     @cached_property
@@ -416,4 +428,5 @@ def induced_subgraph(g: CoauthorshipGraph, keep) -> CoauthorshipGraph:
     if unknown:
         raise UsageError(f"unknown codes in keep set: {sorted(unknown)}")
     edges = [(a, b, w) for a, b, w in g.edges() if a in keep and b in keep]
-    return CoauthorshipGraph(*_checked(map(g.node, keep), edges), g.window)
+    keep = sorted(keep)
+    return CoauthorshipGraph(list(map(g.node, keep)), _checked(keep, edges), g.window)

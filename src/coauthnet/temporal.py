@@ -41,8 +41,8 @@ def slice_windows(span: tuple[int, int] | None, length: int, step: int, mode: st
     """Cut a corpus year span (ResolvedCorpus.span; None for an empty corpus) into windows.
 
     Sliding windows have fixed length and advance by `step` from the corpus
-    minimum year until the maximum year is covered; cumulative windows share
-    the minimum year as anchored start and grow by `length` at a time.
+    minimum year until the maximum year is covered. Cumulative windows are
+    the sliding windows of step `length`, each anchored at the minimum year.
     """
     if length < 1:
         raise UsageError("window length must be >= 1")
@@ -53,24 +53,10 @@ def slice_windows(span: tuple[int, int] | None, length: int, step: int, mode: st
     if span is None:
         return []
     t0, tmax = span
-    windows = []
-    if mode == "sliding":
-        start = t0
-        while True:
-            end = start + length - 1
-            windows.append(TimeWindow(start, end))
-            if end >= tmax:
-                break
-            start += step
-    else:
-        k = 1
-        while True:
-            end = t0 + k * length - 1
-            windows.append(TimeWindow(t0, end))
-            if end >= tmax:
-                break
-            k += 1
-    return windows
+    if mode == "cumulative":
+        step = length
+    return [TimeWindow(t0 if mode == "cumulative" else start, start + length - 1)
+            for start in range(t0, max(t0, tmax - length + 1) + step, step)]
 
 
 def metric_series(

@@ -166,37 +166,47 @@ def test_malformed_row_is_data_exit(tmp_path, capsys):
 _WINDOW = {"start_year": 1990, "end_year": 1991}
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"window": _WINDOW, "nodes": [{"code": 1}, {"code": "AT"}], "edges": []},
-        {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [[["AT"], "BE", 1]]},
-        {"window": _WINDOW, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": [["AT", "BE", True]]},
+def _graph(codes, edges):
+    return {"window": _WINDOW, "nodes": [{"code": code} for code in codes], "edges": edges}
+
+
+# graph.json texts that CoauthorshipGraph.to_json never writes, and the message that says why.
+_BAD_GRAPH = {
+    "int-code": ({"window": _WINDOW, "nodes": [{"code": 1}, {"code": "AT"}], "edges": []}, "node code 1 has the wrong type"),
+    "list-endpoint": (_graph(["AT", "BE"], [[["AT"], "BE", 1]]), "edge endpoint ['AT'] has the wrong type"),
+    "bool-weight": (_graph(["AT", "BE"], [["AT", "BE", True]]), "edge weight True has the wrong type"),
+    "unknown-region": (
         {"window": _WINDOW, "nodes": [{"code": "AT", "region": "Mars"}], "edges": []},
+        f"node AT region 'Mars' is not one of {REGIONS}",
+    ),
+    "negative-paper-count": (
         {"window": _WINDOW, "nodes": [{"code": "AT", "paper_count": -1}], "edges": []},
-        {"window": _WINDOW, "nodes": [{"code": 'A"B'}], "edges": []},
-        {"window": _WINDOW, "nodes": [{"code": ""}], "edges": []},
-        {"window": _WINDOW, "nodes": [{"code": "AB\n"}], "edges": []},
-    ],
-    ids=[
-        "int-code",
-        "list-endpoint",
-        "bool-weight",
-        "unknown-region",
-        "negative-paper-count",
-        "quote-code",
-        "empty-code",
-        "newline-code",
-    ],
-)
-def test_malformed_graph_json_is_data_exit(tmp_path, capsys, doc):
+        "node AT paper_count -1 is negative",
+    ),
+    **{
+        label: (_graph([code], []), f"node code {code!r} is not 2-3 uppercase letters")
+        for label, code in (("quote-code", 'A"B'), ("empty-code", ""), ("newline-code", "AB\n"))
+    },
+    "nodes-out-of-order": (_graph(["BE", "AT"], []), "node AT is listed after BE"),
+    "duplicate-node": (_graph(["AT", "AT"], []), "duplicate node AT"),
+    "reversed-edge": (_graph(["AT", "BE"], [["BE", "AT", 1]]), "edge BE-AT does not list its codes in order"),
+    "unsorted-edges": (
+        _graph(["AT", "BE", "CH"], [["AT", "CH", 1], ["AT", "BE", 1]]),
+        "edge AT-BE is listed after AT-CH",
+    ),
+    "long-edge": (_graph(["AT", "BE"], [["AT", "BE", 1, 5]]), "edge ['AT', 'BE', 1, 5] has 4 entries, not 3"),
+    "no-window": ({"nodes": [], "edges": []}, "no 'window' field"),
+}
+
+
+@pytest.mark.parametrize("doc, message", _BAD_GRAPH.values(), ids=list(_BAD_GRAPH))
+def test_malformed_graph_json_is_data_exit(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     out.mkdir()
     (out / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
     assert run("metrics", "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {out / 'graph.json'}: malformed graph document: ") and "Traceback" not in err
-    assert not (out / "summary.json").exists()
+    assert capsys.readouterr().err == f"data error: {out / 'graph.json'}: malformed graph document: {message}\n"
+    assert [p.name for p in out.iterdir()] == ["graph.json"]
 
 
 def test_export_that_cannot_draw_writes_no_network_file(tmp_path, capsys):
@@ -552,7 +562,8 @@ _BAD_CORPUS = {
     "bool-weight": (_bucket([["AT", "BE", True]]), "edge weight True has the wrong type"),
     "self-loop": (_bucket([["AT", "AT", 1]]), "self-loop on AT"),
     "duplicate-link": (_bucket([["AT", "BE", 1], ["AT", "BE", 1]]), "duplicate edge AT-BE"),
-    "reversed-link": (_bucket([["BE", "AT", 1]]), "year 1990 link ['BE', 'AT'] does not list its codes in order"),
+    "reversed-link": (_bucket([["BE", "AT", 1]]), "edge BE-AT does not list its codes in order"),
+    "long-link": (_bucket([["AT", "BE", 1, 5]]), "edge ['AT', 'BE', 1, 5] has 4 entries, not 3"),
     "link-to-uncounted-code": (
         {"years": {"1990": [{"AT": 2}, [["AT", "BE", 1]], {}]}},
         "edge AT-BE references a missing node",
@@ -567,7 +578,11 @@ _BAD_CORPUS = {
             "region": {"AT": "Europe", "BE": "Europe", "CH": "Europe"},
             "years": {"1990": [{"AT": 2, "BE": 1, "CH": 1}, [["AT", "CH", 1], ["AT", "BE", 1]], {}]},
         },
-        "year 1990 links are not sorted",
+        "edge AT-BE is listed after AT-CH",
+    ),
+    "region-counted-in-no-year": (
+        {"region": {"AT": "Europe", "BE": "Europe", "CH": "Europe"}},
+        "region codes ['CH'] are counted in no year",
     ),
     **{
         label: ({"years": {"1990": bucket}}, f"year 1990 has {len(bucket)} entries, not 3: paper counts, links, subject counts")
@@ -582,6 +597,9 @@ _BAD_CORPUS = {
     },
     "years-not-an-object": ({"years": []}, "years [] has the wrong type"),
     "string-papers": ({"papers": "2"}, "papers '2' has the wrong type"),
+    "negative-papers": ({"papers": -5}, "with_affiliation 2 is not within [0, papers -5]"),
+    "negative-with-affiliation": ({"with_affiliation": -1}, "with_affiliation -1 is not within [0, papers 2]"),
+    "more-affiliated-than-papers": ({"with_affiliation": 99}, "with_affiliation 99 is not within [0, papers 2]"),
     "negative-unknown-count": ({"unknown": {"Atlantis": -1}}, "unknown counts must be >= 0"),
 }
 

@@ -31,8 +31,8 @@ from conftest import FIXTURE_EDGES, random_edges
 
 
 def attr_graph(edges, attrs):
-    nodes = [NodeAttr(code, **fields) for code, fields in attrs.items()]
-    return CoauthorshipGraph(*_checked(nodes, edges), TimeWindow(0, 0))
+    codes = sorted(attrs)
+    return CoauthorshipGraph([NodeAttr(code, **attrs[code]) for code in codes], _checked(codes, edges), TimeWindow(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def test_emit_series_region_column_order():
     from coauthnet.countries import REGIONS
 
     series = {region: {1986: 0} for region in REGIONS}
-    csv_text, _ = emit_series(series, columns=list(REGIONS))
+    csv_text, _ = emit_series(series)
     header = csv_text.splitlines()[0]
     assert header == "year," + ",".join(REGIONS)
 
@@ -331,7 +331,7 @@ def test_emit_series_empty():
 
 
 def test_emit_series_without_years_draws_no_line_or_x_tick():
-    _, svg = emit_series({region: {} for region in REGIONS}, columns=list(REGIONS))
+    _, svg = emit_series({region: {} for region in REGIONS})
     root = ET.fromstring(svg)
     assert "<polyline" not in svg
     assert not [t for t in root.iter("{http://www.w3.org/2000/svg}text") if t.get("text-anchor") == "middle"]
@@ -357,7 +357,7 @@ def test_emit_series_window_series():
 
 
 def test_emit_series_charts_well_formed():
-    series = {"Physics": {1986: 2, 1987: 1}, "Medicine": {1986: 1, 1987: 3}}
+    series = {"Medicine": {1986: 1, 1987: 3}, "Physics": {1986: 2, 1987: 1}}
     csv_text, svg = emit_series(series)
     assert csv_text.splitlines()[0] == "year,Medicine,Physics"
     ET.fromstring(svg)

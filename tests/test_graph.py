@@ -5,7 +5,7 @@ import weakref
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coauthnet import (
@@ -18,7 +18,7 @@ from coauthnet import (
     slice_windows,
     summary,
 )
-from coauthnet.graph import UNCLASSIFIED_SUBJECT, NodeAttr, _checked, build_network, graph_from_edges, induced_subgraph
+from coauthnet.graph import UNCLASSIFIED_SUBJECT, _checked, build_network, graph_from_edges, induced_subgraph
 from coauthnet.ingest import PublicationRecord, RecordSet
 from coauthnet.temporal import densification_snapshots, discipline_series, first_year_series
 
@@ -369,17 +369,19 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def test_graph_validation():
-    a, b = NodeAttr("A"), NodeAttr("B")
     with pytest.raises(DataError, match="^self-loop on A$"):
         graph_from_edges([("A", "A")])
-    for nodes, edges, message in (
-        ([a], [("A", "B", 1)], "edge A-B references a missing node"),
-        ([a, b], [("A", "B", 0)], "edge A-B weight 0 must be a positive integer"),
-        ([a, b], [("A", "B", 1), ("B", "A", 1)], "duplicate edge B-A"),
-        ([a, a], [], "duplicate node A"),
+    with pytest.raises(DataError, match="^duplicate edge A-B$"):
+        graph_from_edges([("A", "B"), ("B", "A", 2)])
+    for codes, edges, message in (
+        (["A"], [("A", "B", 1)], "edge A-B references a missing node"),
+        (["A", "B"], [("A", "B", 0)], "edge A-B weight 0 must be a positive integer"),
+        (["A", "B"], [("A", "B", 1), ("B", "A", 1)], "edge B-A does not list its codes in order"),
+        (["A", "A"], [], "duplicate node A"),
+        (["B", "A"], [], "node A is listed after B"),
     ):
         with pytest.raises(DataError, match=f"^{message}$"):
-            _checked(nodes, edges)
+            _checked(codes, edges)
 
 
 # Edge faults, and the message that names each in a graph.json and in a corpus.json year.
@@ -391,20 +393,53 @@ _EDGE_FAULTS = {
     "float-weight": ([["AT", "BE", 1.5]], "edge weight 1.5 has the wrong type"),
     "int-endpoint": ([["AT", 7, 1]], "edge endpoint 7 has the wrong type"),
     "duplicate-edge": ([["AT", "BE", 1], ["AT", "BE", 2]], "duplicate edge AT-BE"),
+    "reversed-edge": ([["BE", "AT", 1]], "edge BE-AT does not list its codes in order"),
+    "unsorted-edges": ([["AT", "CZ", 1], ["AT", "BE", 1]], "edge AT-BE is listed after AT-CZ"),
+    "long-edge": ([["AT", "BE", 1, 5]], "edge ['AT', 'BE', 1, 5] has 4 entries, not 3"),
+    "short-edge": ([["AT", "BE"]], "edge ['AT', 'BE'] has 2 entries, not 3"),
+    "string-edge": (["ATB"], "edge 'ATB' has the wrong type"),
 }
 
 
 @pytest.mark.parametrize("links, message", _EDGE_FAULTS.values(), ids=list(_EDGE_FAULTS))
 def test_edge_faults_read_alike_in_graph_and_corpus_json(tmp_path, links, message):
-    graph = {"window": {"start_year": 1990, "end_year": 1990}, "nodes": [{"code": "AT"}, {"code": "BE"}], "edges": links}
-    corpus = {"papers": 2, "with_affiliation": 2, "region": {"AT": "Europe", "BE": "Europe"}, "unknown": {},
-              "years": {"1990": [{"AT": 2, "BE": 1}, links, {}]}}
+    codes = ["AT", "BE", "CZ"]
+    graph = {"window": {"start_year": 1990, "end_year": 1990}, "nodes": [{"code": code} for code in codes], "edges": links}
+    corpus = {"papers": 2, "with_affiliation": 2, "region": dict.fromkeys(codes, "Europe"), "unknown": {},
+              "years": {"1990": [dict.fromkeys(codes, 1), links, {}]}}
     for kind, doc, load in (("graph", graph, CoauthorshipGraph.load), ("corpus", corpus, ResolvedCorpus.load)):
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError) as caught:
             load(path)
         assert str(caught.value).removeprefix(f"{path}: ").removeprefix(f"malformed {kind} document: ") == message, kind
+
+
+@pytest.mark.parametrize("kind", ["graph", "corpus"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_only_the_canonical_spelling_loads(tmp_path, registry, kind, data):
+    """Reordering the nodes, edges or a year's links of a canonical graph.json or
+    corpus.json, or listing some edges b, a, loads only when nothing changed."""
+    corpus = ResolvedCorpus(parse_records(FIXTURE_CORPUS), registry)
+    canonical = corpus.graph().to_json() if kind == "graph" else corpus.to_json()
+    doc = json.loads(canonical)
+    if kind == "graph":
+        holder, key = doc, data.draw(st.sampled_from(["nodes", "edges"]))
+    else:
+        holder, key = doc["years"][data.draw(st.sampled_from(sorted(doc["years"])))], 1
+    items = holder[key]
+    order = data.draw(st.permutations(range(len(items))))
+    flipped = set() if key == "nodes" else data.draw(st.sets(st.sampled_from(range(len(items))), max_size=2))
+    holder[key] = [[items[i][1], items[i][0], items[i][2]] if i in flipped else items[i] for i in order]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    load = CoauthorshipGraph.load if kind == "graph" else ResolvedCorpus.load
+    if order == list(range(len(items))) and not flipped:
+        assert load(path).to_json() == canonical
+    else:
+        with pytest.raises(DataError, match="is listed after|does not list its codes in order"):
+            load(path)
 
 
 def test_empty_records_skipped_for_graph_but_counted(tmp_path, registry):

@@ -27,33 +27,54 @@ def _document(fields):
     return st.dictionaries(st.sampled_from(fields) | st.text(max_size=6), _JSON, max_size=len(fields) + 1)
 
 
-_GRAPH = st.fixed_dictionaries(
-    {
-        "window": _document(["start_year", "end_year"]) | _JSON,
-        "nodes": st.lists(_document(["code", "display_name", "region", "paper_count", "first_year"]), max_size=4),
-        "edges": st.lists(st.lists(_JSON | st.sampled_from(["AT", "BE"]), max_size=4), max_size=4),
-    }
-)
 _RECORD = _document(["id", "year", "text", "countries", "subjects"])
 _CODE = st.sampled_from(["AT", "BE", "CZ", "at", ""]) | st.text(max_size=4)
 _COUNTS = st.dictionaries(_CODE, st.integers(-1, 3) | _JSON, max_size=3)
 _BUCKET = st.tuples(_COUNTS, st.lists(st.lists(_CODE | st.integers(-1, 3) | _JSON, max_size=4), max_size=4), _COUNTS)
-# Corpus documents that break one rule now and then, so most loads get past the checks and
-# reach the graphs and series: every code has a region entry, counts are mostly positive.
+# Graph and corpus documents that break one rule now and then, so many loads get past the checks
+# and reach the graphs and series: codes come from a few, every counted code has a region entry,
+# counts are mostly positive, and node and link lists are often spelled as _links writes them.
 _NEAR_CODE = st.sampled_from(["AT", "BE", "CZ"])
 _NEAR_COUNTS = st.dictionaries(_NEAR_CODE, st.integers(0, 9), max_size=3)
-_NEAR_LINKS = st.lists(st.tuples(_NEAR_CODE, _NEAR_CODE, st.integers(0, 9)).map(list), max_size=3)
-_NEAR_CORPUS = st.fixed_dictionaries(
+_ANY_LINKS = st.lists(st.tuples(_NEAR_CODE, _NEAR_CODE, st.integers(0, 9)).map(list), max_size=3)
+_NEAR_LINKS = _ANY_LINKS | _ANY_LINKS.map(lambda links: sorted(sorted(link[:2]) + link[2:] for link in links))
+_NEAR_GRAPH = st.fixed_dictionaries(
     {
-        "papers": st.integers(0, 9),
-        "with_affiliation": st.integers(0, 9),
-        "region": st.fixed_dictionaries({code: st.sampled_from([*REGIONS, None, "Mars"]) for code in ("AT", "BE", "CZ")}),
-        "unknown": st.dictionaries(st.text(max_size=3), st.integers(-1, 9), max_size=2),
-        "years": st.dictionaries(
-            st.integers(1895, 2105).map(str), st.tuples(_NEAR_COUNTS, _NEAR_LINKS, _NEAR_COUNTS).map(list), max_size=3
+        "window": st.fixed_dictionaries({"start_year": st.integers(1989, 1990), "end_year": st.integers(1990, 1991)}),
+        "nodes": (st.lists(_NEAR_CODE, unique=True).map(sorted) | st.lists(_NEAR_CODE, max_size=4)).map(
+            lambda codes: [{"code": code} for code in codes]
         ),
+        "edges": _NEAR_LINKS,
     }
 )
+_GRAPH = (
+    st.fixed_dictionaries(
+        {
+            "window": _document(["start_year", "end_year"]) | _JSON,
+            "nodes": st.lists(_document(["code", "display_name", "region", "paper_count", "first_year"]), max_size=4),
+            "edges": st.lists(st.lists(_JSON | st.sampled_from(["AT", "BE"]), max_size=4), max_size=4),
+        }
+    )
+    | _NEAR_GRAPH
+)
+
+
+@st.composite
+def _near_corpus(draw):
+    # sampled_from, not integers(), so that the out-of-range years are drawn no more often than the rest
+    year = st.sampled_from(range(1895, 2106)).map(str)
+    years = draw(st.dictionaries(year, st.tuples(_NEAR_COUNTS, _NEAR_LINKS, _NEAR_COUNTS).map(list), max_size=3))
+    codes = {code for counts, _, _ in years.values() for code in counts} | draw(st.sets(_NEAR_CODE, max_size=1))
+    papers = draw(st.integers(0, 9))
+    return {
+        "papers": papers,
+        "with_affiliation": draw(st.integers(0, papers)),
+        "region": {code: draw(st.sampled_from([*REGIONS, None, "Mars"])) for code in sorted(codes)},
+        "unknown": draw(st.dictionaries(st.text(max_size=3), st.integers(-1, 9), max_size=2)),
+        "years": years,
+    }
+
+
 _CORPUS = (
     st.fixed_dictionaries(
         {
@@ -69,7 +90,7 @@ _CORPUS = (
             | _JSON,
         }
     )
-    | _NEAR_CORPUS
+    | _near_corpus()
     | _document(["papers", "with_affiliation", "region", "unknown", "years"])
 )
 
