@@ -252,7 +252,7 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
                 positions[code] = _on_circle(slot, 0.13, len(members), j)
 
     elif spec.kind == "center_top_k":
-        inner = top_k_by_degree(g, min(spec.k, max(g.n, 1))) if codes else []
+        inner = top_k_by_degree(g, spec.k)
         inner_set = set(inner)
         outer = [c for c in codes if c not in inner_set]
         for i, code in enumerate(inner):
@@ -292,7 +292,7 @@ def render_network_svg(g: CoauthorshipGraph, spec: LayoutSpec) -> str:
     center_top_k draws edges among the top-k in a highlight stroke.
     """
     layout = compute_layout(g, spec)
-    highlight = set(top_k_by_degree(g, min(spec.k, g.n))) if spec.kind == "center_top_k" and g.n else set()
+    highlight = set(top_k_by_degree(g, spec.k)) if spec.kind == "center_top_k" else set()
 
     def px(value: float) -> str:
         return f"{value * _CANVAS:.2f}"

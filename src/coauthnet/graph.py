@@ -80,18 +80,6 @@ def _node_from_dict(nd: dict) -> NodeAttr:
     return attr
 
 
-def _edges(links) -> list[tuple[str, str, int]]:
-    """The (a, b, weight) edges of a JSON list of [a, b, weight]; TypeError or ValueError if malformed."""
-    try:
-        return [(_typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight"))
-                for a, b, w in links]
-    except (TypeError, ValueError):
-        for link in links:  # name an edge of the wrong type or length, not the entry unpacking it reached
-            if len(_typed(link, list, "edge")) != 3:
-                raise ValueError(f"edge {link!r} has {len(link)} entries, not 3") from None
-        raise
-
-
 def _links(adj: dict[str, dict[str, int]]) -> list[tuple[str, str, int]]:
     """The edges of a symmetric adjacency as (a, b, weight) with a < b, sorted: the one
     spelling of an edge list that graph.json and corpus.json write and _checked reads."""
@@ -99,21 +87,27 @@ def _links(adj: dict[str, dict[str, int]]) -> list[tuple[str, str, int]]:
 
 
 def _checked(codes: list[str], edges) -> dict[str, dict[str, int]]:
-    """The symmetric adjacency of (a, b, weight) edges over node codes, both spelled as _links
-    writes them: codes strictly ascending, each edge a < b, edges sorted. Nothing is sorted here.
-    DataError for a duplicate or misplaced node or edge, a self-loop, a reversed edge, an edge to
-    a missing node, or a weight that is not a positive int."""
+    """The symmetric adjacency of (a, b, weight) edges over node codes, both spelled as _links writes
+    them: codes strictly ascending, each edge a < b, edges sorted. Nothing is sorted, and each edge is
+    read once, so the first faulty edge is named: TypeError or ValueError if it is not [str, str, int],
+    DataError for a duplicate or misplaced node or edge, a self-loop, a missing node or a weight below 1."""
     for prev, code in zip(codes, codes[1:]):
         if code <= prev:
             raise DataError(f"duplicate node {code}" if code == prev else f"node {code} is listed after {prev}")
     adj: dict[str, dict[str, int]] = {code: {} for code in codes}
     pa = pb = ""
-    for a, b, w in edges:
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+            _typed(edge, (list, tuple), "edge")
+            raise ValueError(f"edge {edge!r} has {len(edge)} entries, not 3")
+        a, b, w = edge
+        if type(a) is not str or type(b) is not str or type(w) is not int:  # _typed names the first
+            _typed(a, str, "edge endpoint"), _typed(b, str, "edge endpoint"), _typed(w, int, "edge weight")
         if a >= b:
             raise DataError(f"self-loop on {a}" if a == b else f"edge {a}-{b} does not list its codes in order")
         if a not in adj or b not in adj:
             raise DataError(f"edge {a}-{b} references a missing node")
-        if not isinstance(w, int) or w < 1:
+        if w < 1:
             raise DataError(f"edge {a}-{b} weight {w!r} must be a positive integer")
         if a < pa or (a == pa and b <= pb):
             raise DataError(f"duplicate edge {a}-{b}" if (a, b) == (pa, pb) else f"edge {a}-{b} is listed after {pa}-{pb}")
@@ -184,11 +178,7 @@ class CoauthorshipGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoauthorshipGraph):
             return NotImplemented
-        return (
-            self.window == other.window
-            and self._nodes == other._nodes
-            and self.edges() == other.edges()
-        )
+        return self.window == other.window and self._nodes == other._nodes and self._adj == other._adj
 
     def to_dict(self) -> dict:
         return {
@@ -205,7 +195,7 @@ class CoauthorshipGraph:
                 _typed(doc["window"]["end_year"], int, "window end_year"),
             )
             nodes = [_node_from_dict(nd) for nd in doc["nodes"]]
-            adj = _checked([attr.code for attr in nodes], _edges(doc["edges"]))
+            adj = _checked([attr.code for attr in nodes], doc["edges"])
         except KeyError as exc:
             raise DataError(f"malformed graph document: no {exc} field") from exc
         except (TypeError, ValueError) as exc:
@@ -323,7 +313,9 @@ class ResolvedCorpus:
         """The corpus of a corpus.json. Its region map is checked as graph.json nodes
         are, and each year's links as graph.json edges are (_checked). DataError naming
         the file if malformed, if a year key is not spelled as to_json writes it, or for
-        counts no record set yields: with_affiliation outside [0, papers], a region no year counts."""
+        counts no record set yields: with_affiliation outside [0, papers], a region no year counts,
+        a code counted in more papers over all years than with_affiliation, or a link weight above
+        either endpoint's paper count in its year."""
         doc = read_json(path)
         corpus = cls.__new__(cls)
         corpus.subjects, corpus._years = {}, {}
@@ -336,17 +328,25 @@ class ResolvedCorpus:
             for code, region in corpus.region.items():
                 _node_from_dict({"code": code, "region": _typed(region, str, "region")})
             corpus.unknown = _counts(doc["unknown"], "unknown")
-            years = _typed(doc["years"], dict, "years")
+            years, totals = _typed(doc["years"], dict, "years"), {}
             for year, bucket in sorted((_year_key(key), value) for key, value in years.items()):
                 if len(_typed(bucket, list, f"year {year}")) != 3:
                     raise ValueError(f"year {year} has {len(bucket)} entries, not 3: paper counts, links, subject counts")
                 counts, links, subjects = bucket
                 counts = _counts(counts, f"year {year} paper", floor=1)
-                for code in counts:
+                for code, n in counts.items():
                     if code not in corpus.region:
                         raise ValueError(f"year {year} counts code {code!r}, which has no region")
-                adj = _checked(sorted(counts), _edges(links))
-                corpus._years[year] = counts, {code: row for code, row in adj.items() if row}
+                    totals[code] = totals.get(code, 0) + n
+                    if totals[code] > corpus.with_affiliation:
+                        raise ValueError(f"code {code} has {totals[code]} papers by year {year}, above with_affiliation")
+                adj = {}
+                for code, row in _checked(sorted(counts), links).items():
+                    if (heaviest := max(row.values(), default=0)) > counts[code]:
+                        raise ValueError(f"year {year} link weight {heaviest} exceeds {code}'s paper count {counts[code]}")
+                    if row:
+                        adj[code] = row
+                corpus._years[year] = counts, adj
                 corpus.subjects[year] = _counts(subjects, f"year {year} subject")
             corpus._index_years()
             if uncounted := sorted(corpus.region.keys() - corpus.first_year.keys()):

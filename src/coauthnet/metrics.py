@@ -152,16 +152,14 @@ class ComponentPartition:
 
 def components(g: CoauthorshipGraph) -> ComponentPartition:
     """Connected components; ids are assigned by smallest member code."""
-    root = _geodesics(g).root.tolist()
-    cid = {r: i for i, r in enumerate(sorted(set(root)))}
-    sizes = [0] * len(cid)
-    for r in root:
-        sizes[cid[r]] += 1
+    import numpy as np
+    _, cid, sizes = np.unique(_geodesics(g).root, return_inverse=True, return_counts=True)
+    sizes = sizes.tolist()
     return ComponentPartition(
-        assignment={code: cid[r] for code, r in zip(g.codes(), root)},
+        assignment=dict(zip(g.codes(), cid.tolist())),
         sizes=sorted(sizes, reverse=True),
         giant_size=max(sizes, default=0),
-        isolated_count=sum(1 for s in sizes if s == 1),
+        isolated_count=sizes.count(1),
     )
 
 

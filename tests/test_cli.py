@@ -568,6 +568,11 @@ _BAD_CORPUS = {
         {"years": {"1990": [{"AT": 2}, [["AT", "BE", 1]], {}]}},
         "edge AT-BE references a missing node",
     ),
+    "link-above-paper-count": (_bucket([["AT", "BE", 2]]), "year 1990 link weight 2 exceeds BE's paper count 1"),
+    "counts-above-with-affiliation": (
+        {"years": {"1990": [{"AT": 2, "BE": 1}, [], {}], "1991": [{"AT": 1}, [], {}]}},
+        "code AT has 3 papers by year 1991, above with_affiliation",
+    ),
     "zero-paper-count": ({"years": {"1990": [{"AT": 0, "BE": 1}, [], {}]}}, "year 1990 paper counts must be >= 1"),
     "float-subject-count": (
         {"years": {"1990": [{"AT": 2, "BE": 1}, [], {"Physics": 1.5}]}},

@@ -373,6 +373,8 @@ def test_graph_validation():
         graph_from_edges([("A", "A")])
     with pytest.raises(DataError, match="^duplicate edge A-B$"):
         graph_from_edges([("A", "B"), ("B", "A", 2)])
+    with pytest.raises(TypeError, match="^edge weight True has the wrong type$"):
+        graph_from_edges([("A", "B", True)])
     for codes, edges, message in (
         (["A"], [("A", "B", 1)], "edge A-B references a missing node"),
         (["A", "B"], [("A", "B", 0)], "edge A-B weight 0 must be a positive integer"),
@@ -398,6 +400,7 @@ _EDGE_FAULTS = {
     "long-edge": ([["AT", "BE", 1, 5]], "edge ['AT', 'BE', 1, 5] has 4 entries, not 3"),
     "short-edge": ([["AT", "BE"]], "edge ['AT', 'BE'] has 2 entries, not 3"),
     "string-edge": (["ATB"], "edge 'ATB' has the wrong type"),
+    "order-fault-before-type-fault": ([["BE", "AT", 1], ["AT", "CZ", True]], "edge BE-AT does not list its codes in order"),
 }
 
 
