@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from .countries import CountryRegistry, builtin_registry
 from .errors import DataError, UsageError, read_json
-from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, emit_series, render_network_svg, write_dot, write_pajek
+from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, compute_layout, emit_series, render_network_svg, write_dot
+from .export import write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
 from .metrics import CLUSTERING_MODES, centrality_table, degree_distribution, is_clique
@@ -257,8 +258,8 @@ def _check_config(cfg: argparse.Namespace) -> None:
 def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> None:
     """Render all four texts first, so a graph that cannot be drawn leaves no file."""
     net, clu = write_pajek(graph)
-    spec = _layout_spec(cfg)
-    dot, svg = write_dot(graph, spec), render_network_svg(graph, spec)
+    layout = compute_layout(graph, _layout_spec(cfg))
+    dot, svg = write_dot(graph, layout), render_network_svg(graph, layout)
     for suffix, text in (("net", net), ("clu", clu), ("dot", dot), ("svg", svg)):
         out.text(f"network.{suffix}", text)
 

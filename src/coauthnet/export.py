@@ -72,9 +72,13 @@ class LayoutSpec:
 
 @dataclass
 class RenderedLayout:
+    """What write_dot and render_network_svg draw: node positions and radii, each edge as
+    (a, b, weight, width) in g.edges() order, and the highlighted codes (center_top_k's top k)."""
+
     positions: dict[str, tuple[float, float]]
     radii: dict[str, float]
-    edge_widths: dict[tuple[str, str], float]
+    edges: list[tuple[str, str, int, float]]
+    highlight: set[str]
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +158,14 @@ def read_pajek(text: str) -> tuple[list[str], dict[tuple[str, str], int]]:
 # DOT
 
 
-def write_dot(g: CoauthorshipGraph, layout: LayoutSpec) -> str:
+def write_dot(g: CoauthorshipGraph, layout: RenderedLayout) -> str:
     """Undirected DOT document with node positions, node sizes and edge widths pinned."""
-    rendered = compute_layout(g, layout)
     lines = ["graph coauthorship {"]
     for code in g.codes():
-        x, y = rendered.positions[code]
-        r = rendered.radii[code]
+        x, y = layout.positions[code]
+        r = layout.radii[code]
         lines.append(f'  "{code}" [pos="{x:.4f},{y:.4f}!", width={2 * r:.4f}];')
-    for a, b, w in g.edges():
-        pw = rendered.edge_widths[(a, b)]
+    for a, b, w, pw in layout.edges:
         lines.append(f'  "{a}" -- "{b}" [weight={w}, penwidth={pw * _CANVAS:.2f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -229,10 +231,11 @@ def _size_values(g: CoauthorshipGraph, spec: LayoutSpec) -> dict[str, float]:
 
 
 def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
-    """Deterministic positions in the unit square plus node radii and edge widths."""
+    """Deterministic positions in the unit square plus node radii, edge widths and highlight."""
     codes = g.codes()
     positions: dict[str, tuple[float, float]] = {}
     center = (0.5, 0.5)
+    highlight: set[str] = set()
 
     if spec.kind == "circular":
         for i, code in enumerate(codes):
@@ -253,8 +256,8 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
 
     elif spec.kind == "center_top_k":
         inner = top_k_by_degree(g, spec.k)
-        inner_set = set(inner)
-        outer = [c for c in codes if c not in inner_set]
+        highlight = set(inner)
+        outer = [c for c in codes if c not in highlight]
         for i, code in enumerate(inner):
             positions[code] = _on_circle(center, 0.16, len(inner), i)
         for i, code in enumerate(outer):
@@ -279,20 +282,15 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
         a_max = max(sizes.values(), default=0.0)
         radii = {code: _scaled(sizes[code], a_max, R_MIN, R_MAX, spec.gamma) for code in codes}
 
-    edge_widths = {}
-    w_max = max((w for _, _, w in g.edges()), default=0)
-    for a, b, w in g.edges():
-        edge_widths[(a, b)] = _scaled(float(w), float(w_max), EDGE_W_MIN, EDGE_W_MAX, spec.gamma)
-    return RenderedLayout(positions=positions, radii=radii, edge_widths=edge_widths)
+    links = g.edges()
+    w_max = float(max((w for _, _, w in links), default=0))
+    edges = [(a, b, w, _scaled(float(w), w_max, EDGE_W_MIN, EDGE_W_MAX, spec.gamma)) for a, b, w in links]
+    return RenderedLayout(positions, radii, edges, highlight)
 
 
-def render_network_svg(g: CoauthorshipGraph, spec: LayoutSpec) -> str:
-    """Render the graph as a standalone SVG document.
-
-    center_top_k draws edges among the top-k in a highlight stroke.
-    """
-    layout = compute_layout(g, spec)
-    highlight = set(top_k_by_degree(g, spec.k)) if spec.kind == "center_top_k" else set()
+def render_network_svg(g: CoauthorshipGraph, layout: RenderedLayout) -> str:
+    """Render the graph as a standalone SVG document; edges among the highlighted
+    codes (center_top_k's top k) are drawn in a highlight stroke."""
 
     def px(value: float) -> str:
         return f"{value * _CANVAS:.2f}"
@@ -306,14 +304,13 @@ def render_network_svg(g: CoauthorshipGraph, spec: LayoutSpec) -> str:
     out.write(f'  <rect x="0" y="0" width="{_CANVAS:.0f}" height="{_CANVAS:.0f}" fill="#ffffff"/>\n')
 
     normal, highlighted = [], []
-    for a, b, w in g.edges():
-        (highlighted if a in highlight and b in highlight else normal).append((a, b, w))
+    for a, b, _, width in layout.edges:
+        (highlighted if a in layout.highlight and b in layout.highlight else normal).append((a, b, width))
     out.write('  <g stroke-linecap="round">\n')
     for group, stroke, opacity in ((normal, "#9aa0a6", "0.7"), (highlighted, "#e0a800", "0.9")):
-        for a, b, _ in group:
+        for a, b, width in group:
             xa, ya = layout.positions[a]
             xb, yb = layout.positions[b]
-            width = layout.edge_widths[(a, b)]
             out.write(
                 f'    <line x1="{px(xa)}" y1="{px(ya)}" x2="{px(xb)}" y2="{px(yb)}" '
                 f'stroke="{stroke}" stroke-width="{px(width)}" stroke-opacity="{opacity}"/>\n'

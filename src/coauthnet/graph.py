@@ -54,11 +54,11 @@ def _typed(value, kinds, what: str):
     return value
 
 
-def _counts(value, what: str, floor: int = 0) -> dict[str, int]:
-    """A JSON object of int counts, none below `floor`; TypeError or ValueError otherwise."""
+def _counts(value, what: str) -> dict[str, int]:
+    """A JSON object of int counts, each at least 1; TypeError or ValueError otherwise."""
     counts = {key: _typed(n, int, f"{what} count") for key, n in _typed(value, dict, f"{what} counts").items()}
-    if min(counts.values(), default=floor) < floor:
-        raise ValueError(f"{what} counts must be >= {floor}")
+    if min(counts.values(), default=1) < 1:
+        raise ValueError(f"{what} counts must be >= 1")
     return counts
 
 
@@ -180,30 +180,10 @@ class CoauthorshipGraph:
             return NotImplemented
         return self.window == other.window and self._nodes == other._nodes and self._adj == other._adj
 
-    def to_dict(self) -> dict:
-        return {
-            "window": asdict(self.window),
-            "nodes": [asdict(a) for a in self._nodes.values()],
-            "edges": [[a, b, w] for a, b, w in self.edges()],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CoauthorshipGraph":
-        try:
-            window = TimeWindow(
-                _typed(doc["window"]["start_year"], int, "window start_year"),
-                _typed(doc["window"]["end_year"], int, "window end_year"),
-            )
-            nodes = [_node_from_dict(nd) for nd in doc["nodes"]]
-            adj = _checked([attr.code for attr in nodes], doc["edges"])
-        except KeyError as exc:
-            raise DataError(f"malformed graph document: no {exc} field") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed graph document: {exc}") from exc
-        return cls(nodes, adj, window)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """graph.json: indented sorted JSON of the window, the nodes and the edges [a, b, w] with a < b."""
+        doc = {"window": asdict(self.window), "nodes": [asdict(a) for a in self._nodes.values()], "edges": self.edges()}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -213,9 +193,17 @@ class CoauthorshipGraph:
         """The graph of a graph.json; DataError naming the file if malformed."""
         doc = read_json(path)
         try:
-            return cls.from_dict(doc)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+            window = TimeWindow(
+                _typed(doc["window"]["start_year"], int, "window start_year"),
+                _typed(doc["window"]["end_year"], int, "window end_year"),
+            )
+            nodes = [_node_from_dict(nd) for nd in doc["nodes"]]
+            adj = _checked([attr.code for attr in nodes], doc["edges"])
+        except KeyError as exc:
+            raise DataError(f"{path}: malformed graph document: no {exc} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed graph document: {exc}") from exc
+        return cls(nodes, adj, window)
 
 
 def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> CoauthorshipGraph:
@@ -313,9 +301,9 @@ class ResolvedCorpus:
         """The corpus of a corpus.json. Its region map is checked as graph.json nodes
         are, and each year's links as graph.json edges are (_checked). DataError naming
         the file if malformed, if a year key is not spelled as to_json writes it, or for
-        counts no record set yields: with_affiliation outside [0, papers], a region no year counts,
-        a code counted in more papers over all years than with_affiliation, or a link weight above
-        either endpoint's paper count in its year."""
+        counts no record set yields: a count below 1, with_affiliation outside [0, papers], a region
+        no year counts, a code counted in more papers over all years than with_affiliation, or a link
+        weight above either endpoint's paper count in its year."""
         doc = read_json(path)
         corpus = cls.__new__(cls)
         corpus.subjects, corpus._years = {}, {}
@@ -333,7 +321,7 @@ class ResolvedCorpus:
                 if len(_typed(bucket, list, f"year {year}")) != 3:
                     raise ValueError(f"year {year} has {len(bucket)} entries, not 3: paper counts, links, subject counts")
                 counts, links, subjects = bucket
-                counts = _counts(counts, f"year {year} paper", floor=1)
+                counts = _counts(counts, f"year {year} paper")
                 for code, n in counts.items():
                     if code not in corpus.region:
                         raise ValueError(f"year {year} counts code {code!r}, which has no region")

@@ -8,7 +8,7 @@ import time
 
 from coauthnet import builtin_registry, summary
 from coauthnet.cli import main
-from coauthnet.export import LayoutSpec, read_dot, read_pajek, write_dot, write_pajek
+from coauthnet.export import LayoutSpec, compute_layout, read_dot, read_pajek, write_dot, write_pajek
 from coauthnet.graph import graph_from_edges
 from coauthnet.metrics import betweenness, closeness, clustering, components, path_stats, random_edge_set, small_world
 from coauthnet.temporal import densification_fit
@@ -174,7 +174,7 @@ def test_criterion_6_interchange_round_trips():
         assert pajek_labels == g.codes(), index
         assert pajek_edges == expected_edges, index
 
-        dot_labels, dot_edges = read_dot(write_dot(g, LayoutSpec(size_attr="degree")))
+        dot_labels, dot_edges = read_dot(write_dot(g, compute_layout(g, LayoutSpec(size_attr="degree"))))
         assert dot_labels == g.codes(), index
         assert dot_edges == expected_edges, index
     _finish(6, "Pajek and DOT round trips", t0, 5.0)

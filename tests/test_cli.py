@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coauthnet import CoauthorshipGraph
+from coauthnet import CoauthorshipGraph, cli, export
 from coauthnet.cli import main
 from coauthnet.countries import REGIONS
 from coauthnet.export import read_pajek
@@ -219,6 +219,33 @@ def test_export_that_cannot_draw_writes_no_network_file(tmp_path, capsys):
     assert not list(out.glob("network.*"))
     assert sorted(p.name for p in out.iterdir()) == ["config.json", "graph.json"]
     assert "export" not in json.loads((out / "config.json").read_text())
+
+
+def test_export_lays_the_graph_out_once(tmp_path, monkeypatch, capsys):
+    # One layout, with its one top-k ranking, feeds both network.dot and network.svg;
+    # the three writers are reached through coauthnet.cli's module attributes, which
+    # are what a tracer wraps, so export.pajek_s, export.dot_s and export.svg_s stay timed.
+    out = tmp_path / "out"
+    assert run("ingest", "--input", FIXTURE_CORPUS, "--out", out) == 0
+    assert run("build", "--out", out) == 0
+    calls = []
+    for module in (cli, export):
+        for name in ("compute_layout", "top_k_by_degree", "write_pajek", "write_dot", "render_network_svg"):
+            if hasattr(module, name):
+
+                def counted(*args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}"):
+                    calls.append(_name)
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    assert run("export", "--layout", "center_top_k", "--top-k", 3, "--out", out) == 0
+    assert sorted(calls) == [
+        "coauthnet.cli.compute_layout",
+        "coauthnet.cli.render_network_svg",
+        "coauthnet.cli.write_dot",
+        "coauthnet.cli.write_pajek",
+        "coauthnet.export.top_k_by_degree",
+    ]
 
 
 def test_failed_ingest_leaves_no_artifact_and_no_section(tmp_path, capsys):
@@ -605,7 +632,12 @@ _BAD_CORPUS = {
     "negative-papers": ({"papers": -5}, "with_affiliation 2 is not within [0, papers -5]"),
     "negative-with-affiliation": ({"with_affiliation": -1}, "with_affiliation -1 is not within [0, papers 2]"),
     "more-affiliated-than-papers": ({"with_affiliation": 99}, "with_affiliation 99 is not within [0, papers 2]"),
-    "negative-unknown-count": ({"unknown": {"Atlantis": -1}}, "unknown counts must be >= 0"),
+    "negative-unknown-count": ({"unknown": {"Atlantis": -1}}, "unknown counts must be >= 1"),
+    "zero-unknown-count": ({"unknown": {"Atlantis": 0}}, "unknown counts must be >= 1"),
+    "zero-subject-count": (
+        {"years": {"1990": [{"AT": 2, "BE": 1}, [], {"Physics": 0}]}},
+        "year 1990 subject counts must be >= 1",
+    ),
 }
 
 

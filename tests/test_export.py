@@ -100,7 +100,7 @@ _DOT_SPEC = LayoutSpec(kind="circular", size_attr="degree")
 
 def test_dot_single_edge():
     g = graph_from_edges([("A", "B", 2)])
-    text = write_dot(g, _DOT_SPEC)
+    text = write_dot(g, compute_layout(g, _DOT_SPEC))
     assert text.count("--") == 1
     assert '"A" -- "B" [weight=2, penwidth=8.00];' in text
     assert text.startswith("graph coauthorship {\n")
@@ -108,12 +108,13 @@ def test_dot_single_edge():
 
 
 def test_dot_empty_graph():
-    assert write_dot(graph_from_edges([], nodes=[]), _DOT_SPEC) == "graph coauthorship {\n}\n"
+    g = graph_from_edges([], nodes=[])
+    assert write_dot(g, compute_layout(g, _DOT_SPEC)) == "graph coauthorship {\n}\n"
 
 
 def test_dot_triangle_sorted():
     g = graph_from_edges([("C", "B"), ("B", "A"), ("A", "C")])
-    text = write_dot(g, _DOT_SPEC)
+    text = write_dot(g, compute_layout(g, _DOT_SPEC))
     edge_lines = [line for line in text.splitlines() if "--" in line]
     assert edge_lines == [
         '  "A" -- "B" [weight=1, penwidth=8.00];',
@@ -128,13 +129,13 @@ def test_dot_round_trip_random_graphs():
         labels, edges = random_edges(rng, rng.randint(0, 10), rng.random())
         weighted = [(a, b, rng.randint(1, 9)) for a, b in edges]
         g = graph_from_edges(weighted, nodes=labels)
-        back_nodes, back_edges = read_dot(write_dot(g, _DOT_SPEC))
+        back_nodes, back_edges = read_dot(write_dot(g, compute_layout(g, _DOT_SPEC)))
         assert back_nodes == g.codes()
         assert back_edges == {(a, b): w for a, b, w in g.edges()}
 
 
 def test_dot_with_layout_still_round_trips(fixture_graph):
-    text = write_dot(fixture_graph, LayoutSpec(kind="circular", size_attr="degree"))
+    text = write_dot(fixture_graph, compute_layout(fixture_graph, _DOT_SPEC))
     assert 'pos="' in text
     nodes, edges = read_dot(text)
     assert nodes == fixture_graph.codes()
@@ -178,17 +179,14 @@ def test_center_top_k_inner_nodes():
         x, y = layout.positions[code]
         return math.hypot(x - center[0], y - center[1])
 
-    from coauthnet.metrics import top_k_by_degree
-
-    inner = set(top_k_by_degree(g, 2))
-    assert inner == {"S", "L0"}
+    assert layout.highlight == {"S", "L0"}
     for code in g.codes():
-        if code in inner:
+        if code in layout.highlight:
             assert dist(code) == pytest.approx(0.16)
         else:
             assert dist(code) == pytest.approx(0.42)
 
-    svg = render_network_svg(g, spec)
+    svg = render_network_svg(g, layout)
     assert svg.count('stroke="#e0a800"') == 1  # only the S-L0 edge is highlighted
 
 
@@ -263,8 +261,10 @@ def test_radius_scaling_monotone():
 def test_edge_width_scaling():
     g = graph_from_edges([("A", "B", 1), ("B", "C", 4)])
     layout = compute_layout(g, LayoutSpec(kind="circular", size_attr="none", gamma=0.5))
-    assert layout.edge_widths[("B", "C")] == pytest.approx(EDGE_W_MAX)
-    assert layout.edge_widths[("A", "B")] == pytest.approx(EDGE_W_MIN + (EDGE_W_MAX - EDGE_W_MIN) * 0.5)
+    assert [edge[:3] for edge in layout.edges] == g.edges()
+    widths = [width for *_, width in layout.edges]
+    assert widths[1] == pytest.approx(EDGE_W_MAX)
+    assert widths[0] == pytest.approx(EDGE_W_MIN + (EDGE_W_MAX - EDGE_W_MIN) * 0.5)
 
 
 def test_missing_paper_count_is_usage_error(fixture_graph):
@@ -290,14 +290,16 @@ def test_layout_spec_validation():
 
 
 def test_network_svg_well_formed(fixture_graph):
-    svg = render_network_svg(fixture_graph, LayoutSpec(kind="circular", size_attr="degree"))
+    layout = compute_layout(fixture_graph, LayoutSpec(kind="circular", size_attr="degree"))
+    svg = render_network_svg(fixture_graph, layout)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
-    assert svg == render_network_svg(fixture_graph, LayoutSpec(kind="circular", size_attr="degree"))
+    assert svg == render_network_svg(fixture_graph, layout)
 
 
 def test_network_svg_contains_all_nodes(fixture_graph):
-    svg = render_network_svg(fixture_graph, LayoutSpec(kind="circular", size_attr="degree"))
+    layout = compute_layout(fixture_graph, LayoutSpec(kind="circular", size_attr="degree"))
+    svg = render_network_svg(fixture_graph, layout)
     assert svg.count("<circle") == 8
     assert svg.count("<line") == 11
     for code in fixture_graph.codes():
@@ -367,13 +369,15 @@ def test_emit_series_charts_well_formed():
 
 def test_emitters_are_deterministic(fixture_graph):
     assert write_pajek(fixture_graph) == write_pajek(fixture_graph)
-    assert write_dot(fixture_graph, _DOT_SPEC) == write_dot(fixture_graph, _DOT_SPEC)
+    dots = [write_dot(fixture_graph, compute_layout(fixture_graph, _DOT_SPEC)) for _ in range(2)]
+    assert dots[0] == dots[1]
     spec = LayoutSpec(kind="year_bands", size_attr="degree")
     g = attr_graph(
         [(a, b, w) for a, b, w in fixture_graph.edges()],
         {c: {"first_year": 1986 + (ord(c) % 3), "paper_count": 1} for c in fixture_graph.codes()},
     )
-    assert render_network_svg(g, spec) == render_network_svg(g, spec)
+    svgs = [render_network_svg(g, compute_layout(g, spec)) for _ in range(2)]
+    assert svgs[0] == svgs[1]
 
 
 def test_fixture_edges_count():

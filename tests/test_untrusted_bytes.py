@@ -65,13 +65,14 @@ def _near_bucket(draw):
     counts, links = draw(_NEAR_COUNTS), draw(_NEAR_LINKS)
     if draw(st.sampled_from(range(10))) < 9:  # mostly, no link weight above its endpoints' counts
         links = [[a, b, min(w, counts.get(a, w), counts.get(b, w))] for a, b, w in links]
-    return [counts, links, draw(_NEAR_COUNTS)]
+    # zero last: hypothesis draws the first element of a sampled_from most often
+    return [counts, links, draw(st.dictionaries(_NEAR_CODE, st.sampled_from([*range(1, 10), 0]), max_size=3))]
 
 
 @st.composite
 def _near_corpus(draw):
-    # sampled_from, not integers(), so that the out-of-range years are drawn no more often than the rest
-    year = st.sampled_from(range(1895, 2106)).map(str)
+    # in-range years first: hypothesis draws the first elements of a sampled_from most often
+    year = st.sampled_from([*range(1900, 2101), *range(1895, 1900), *range(2101, 2106)]).map(str)
     years = draw(st.dictionaries(year, _near_bucket(), max_size=3))
     codes = {code for counts, _, _ in years.values() for code in counts} | draw(st.sets(_NEAR_CODE, max_size=1))
     # with_affiliation is now and then one below the most papers a code is counted in; hypothesis
@@ -82,7 +83,7 @@ def _near_corpus(draw):
         "papers": draw(st.integers(with_affiliation, with_affiliation + 4)),
         "with_affiliation": with_affiliation,
         "region": {code: draw(st.sampled_from([*REGIONS, None, "Mars"])) for code in sorted(codes)},
-        "unknown": draw(st.dictionaries(st.text(max_size=3), st.integers(-1, 9), max_size=2)),
+        "unknown": draw(st.dictionaries(st.text(max_size=3), st.sampled_from([*range(1, 10), 0, -1]), max_size=2)),
         "years": years,
     }
 
