@@ -181,9 +181,9 @@ class CoauthorshipGraph:
         return self.window == other.window and self._nodes == other._nodes and self._adj == other._adj
 
     def to_json(self) -> str:
-        """graph.json: indented sorted JSON of the window, the nodes and the edges [a, b, w] with a < b."""
+        """graph.json: sorted compact JSON of the window, the nodes and the edges [a, b, w] with a < b."""
         doc = {"window": asdict(self.window), "nodes": [asdict(a) for a in self._nodes.values()], "edges": self.edges()}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")

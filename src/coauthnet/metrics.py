@@ -50,7 +50,7 @@ O(n m) interpreter steps: a win on dense country graphs, a loss on long
 sparse chains with many levels.
 
 numpy is imported inside the functions that touch an array, never at module
-level, so `ingest`, `build` and `export` never load it.
+level, so `ingest`, `build`, `densify` and `export` never load it.
 """
 
 from __future__ import annotations

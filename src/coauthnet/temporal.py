@@ -5,7 +5,7 @@ series."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .countries import REGIONS
 from .errors import UsageError
@@ -96,8 +96,9 @@ def loglog_fit(points) -> LogLogFit:
     """Least squares on (ln x, ln y); alpha is the slope, c exp(intercept).
 
     Two points determine the line exactly; r_squared is then reported as None.
+    Logs and exp are correctly rounded (decimal at 40 digits) and so are sums (math.fsum),
+    so neither the CPU nor the order of the points changes a bit of the result.
     """
-    import numpy as np
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise UsageError("need at least 2 points for a log-log fit")
@@ -105,23 +106,25 @@ def loglog_fit(points) -> LogLogFit:
         raise UsageError("log-log fit requires strictly positive coordinates")
     if len({x for x, _ in pts}) < 2:
         raise UsageError("all x values coincide; the exponent is undefined")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    x_var = float(np.sum((lx - lx.mean()) ** 2))
+    from decimal import Context, Decimal
+    ctx = Context(prec=40)
+    lx, ly = ([float(ctx.ln(Decimal(v))) for v in vs] for vs in zip(*pts))
+    mean_x, mean_y = math.fsum(lx) / len(pts), math.fsum(ly) / len(pts)
+    dx, dy = [v - mean_x for v in lx], [v - mean_y for v in ly]
+    x_var = math.fsum(d * d for d in dx)
     if x_var == 0.0:
         raise UsageError("distinct x values share one logarithm; the exponent is undefined")
-    slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / x_var)
-    intercept = float(ly.mean() - slope * lx.mean())
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / x_var
+    intercept = mean_y - slope * mean_x
     if len(pts) == 2:
         r_squared = None
     else:
-        predicted = slope * lx + intercept
-        ss_res = float(np.sum((ly - predicted) ** 2))
-        ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+        residuals = [v - (slope * u + intercept) for u, v in zip(lx, ly)]
+        ss_res, ss_tot = (math.fsum(d * d for d in ds) for ds in (residuals, dy))
         r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
     return LogLogFit(
-        alpha=float(slope),
-        c=float(math.exp(intercept)),
+        alpha=slope,
+        c=float(ctx.exp(Decimal(intercept))),
         r_squared=r_squared,
         points_used=len(pts),
     )
@@ -135,12 +138,9 @@ def densification_fit(snapshots) -> LogLogFit:
     """
     snaps = [(int(n), int(m)) for n, m in snapshots]
     usable = [(n, m) for n, m in snaps if n >= 2 and m >= 1]
-    excluded = [(n, m) for n, m in snaps if not (n >= 2 and m >= 1)]
     if len(usable) < 2:
         raise UsageError(f"need at least 2 usable snapshots, got {len(usable)}")
-    fit = loglog_fit(usable)
-    fit.excluded = excluded
-    return fit
+    return replace(loglog_fit(usable), excluded=[(n, m) for n, m in snaps if not (n >= 2 and m >= 1)])
 
 
 def densification_snapshots(

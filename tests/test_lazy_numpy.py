@@ -1,11 +1,11 @@
 """numpy loads on the first kernel use, not when the package is imported,
 and a command loads it with its BLAS pinned to one thread.
 
-`ingest`, `build` and `export` never touch an array, so a process that runs
-only those commands starts without numpy. The kernel commands load it after
-`main` has set OPENBLAS_NUM_THREADS=1, which numpy's OpenBLAS reads when it
-loads. Each check runs in a fresh interpreter, because this test process has
-numpy loaded already.
+`ingest`, `build`, `densify` and `export` never touch an array, so a process
+that runs only those commands starts without numpy. The kernel commands load
+it after `main` has set OPENBLAS_NUM_THREADS=1, which numpy's OpenBLAS reads
+when it loads. Each check runs in a fresh interpreter, because this test
+process has numpy loaded already.
 """
 
 import json
@@ -27,8 +27,9 @@ from conftest import synthetic_corpus_rows, write_jsonl
 SRC = Path(coauthnet.__file__).resolve().parent.parent
 
 # Runs `first`, then each argv through coauthnet.cli.main, then prints, as the
-# last stdout line, whether numpy was imported, the OPENBLAS_NUM_THREADS value
-# when numpy was first looked up, and which package modules are loaded.
+# last stdout line, whether numpy and decimal were imported, the
+# OPENBLAS_NUM_THREADS value when numpy was first looked up, and which package
+# modules are loaded.
 PROBE = """
 import json, os, sys
 sys.path.insert(0, {src!r})
@@ -47,6 +48,7 @@ for argv in {runs!r}:
     assert coauthnet.cli.main(argv) == 0, argv
 print(json.dumps({{
     "numpy": "numpy" in sys.modules,
+    "decimal": "decimal" in sys.modules,
     "blas_threads": blas_threads,
     "package": sorted(name for name in sys.modules if name.startswith("coauthnet.")),
 }}))
@@ -112,7 +114,7 @@ def test_cli_import_loads_every_package_module():
         ("export", False),
         ("metrics", True),
         ("slice", True),
-        ("densify", True),
+        ("densify", False),
         ("report", True),
     ],
 )
@@ -127,6 +129,8 @@ def test_only_kernel_commands_load_numpy(tmp_path, report_tree, command, loads_n
     assert found["numpy"] is loads_numpy
     # A kernel command loads numpy with its BLAS pinned to one thread.
     assert found["blas_threads"] == (["1"] if loads_numpy else [])
+    # Only the commands that run the densification fit pay for decimal.
+    assert found["decimal"] is (command in ("densify", "report"))
 
 
 def test_probe_records_the_value_numpy_loads_under(monkeypatch):

@@ -1,9 +1,16 @@
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coauthnet
 from coauthnet import CountryRegistry, ResolvedCorpus, TimeWindow, UsageError, parse_records, slice_windows, summary
 from coauthnet.graph import UNCLASSIFIED_SUBJECT
 from coauthnet.temporal import (
@@ -252,6 +259,73 @@ def test_fit_to_dict_shape():
     doc = vars(densification_fit([(2, 1), (4, 4), (1, 0)]))
     assert set(doc) == {"alpha", "c", "r_squared", "points_used", "excluded"}
     assert doc["excluded"] == [(1, 0)]
+
+
+# Settings that switch the CPU-dispatched code of numpy and glibc to another
+# path, each for the child process it is set in.
+_DISPATCH_ENVS = (
+    {},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX"},
+)
+
+
+def test_fit_bytes_depend_on_no_cpu_dispatch():
+    """alpha, c and r_squared print alike in children whose numpy and glibc run other code paths.
+
+    A fit through np.log printed other last digits with AVX512 turned off. On a
+    host without AVX512 the numpy setting changes nothing, so there this test
+    cannot fail on a numpy log; the pinned values hold on every host.
+    """
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(coauthnet.__file__).parent.parent)!r})\n"
+        "from coauthnet.temporal import densification_fit\n"
+        "fit = densification_fit([(120, 4000), (150, 9170), (176, 12500)])\n"
+        "print(repr(fit.alpha), repr(fit.c), repr(fit.r_squared))\n"
+    )
+    printed = []
+    for extra in _DISPATCH_ENVS:
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env={**os.environ, **extra}
+        )
+        assert child.returncode == 0, child.stderr
+        printed.append(child.stdout)
+    assert printed == ["3.0223421037129032 0.002177279590447173 0.9738475108676395\n"] * len(_DISPATCH_ENVS)
+
+
+def test_fit_logs_are_correctly_rounded(monkeypatch):
+    """The logs the fit sums equal mpmath's 200-bit log rounded to a float, for every
+    integer up to 15,400, the most links the built-in registry's countries can have.
+
+    The first two fsum calls of the fit take its lists of ln x and ln y. math.log
+    misses on 9,170.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    calls = []
+
+    def fsum(values):
+        calls.append(list(values))
+        return math.fsum(calls[-1])
+
+    monkeypatch.setattr(coauthnet.temporal, "math", SimpleNamespace(fsum=fsum))
+    ints = range(1, 15_401)
+    loglog_fit([(i, i) for i in ints])
+    with mpmath.workprec(200):
+        expected = [float(mpmath.log(i)) for i in ints]
+    assert calls[0] == calls[1] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(2, 400), st.integers(1, 15_400)), min_size=3, max_size=7).filter(
+        lambda pts: len({n for n, _ in pts}) >= 2
+    ),
+    data=st.data(),
+)
+def test_fit_is_the_same_for_any_order_of_the_snapshots(points, data):
+    fit = densification_fit(points)
+    shuffled = densification_fit(data.draw(st.permutations(points)))
+    assert (shuffled.alpha, shuffled.c, shuffled.r_squared) == (fit.alpha, fit.c, fit.r_squared)
 
 
 def test_densification_snapshots_counts(tmp_path):
