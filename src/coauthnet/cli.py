@@ -346,11 +346,11 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
 
 
 def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: OutputDir) -> None:
-    # Each stage gets the in-memory form of what it reads: a stage returns that of the first artifact it writes.
-    inputs, results = {"side files": registry}, {}
+    # Results by stage name: a stage gets the registry or what the stage writing its input returned.
+    results = {}
     for stage in STAGES:
         if stage.name == "export":  # report.md lists the report-only series before the network files
-            corpus = inputs["corpus.json"]
+            corpus = results["ingest"]
             first_years, cumulative = first_year_series(corpus)
             out.json("first_years.json", first_years)
             regions_csv, regions_svg = emit_series(cumulative)
@@ -359,9 +359,10 @@ def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
             disc_csv, disc_svg = emit_series(discipline_series(corpus))
             out.text("disciplines.csv", disc_csv)
             out.text("disciplines.svg", disc_svg)
+        consumed = results[_upstream(stage)[0].name] if _upstream(stage) else registry
         # Through the module attribute, so that a wrapper bound to stage_<name> sees the call.
-        results[stage.name] = inputs[stage.writes[0]] = globals()[f"stage_{stage.name}"](cfg, inputs[stage.reads], out)
-    graph, met = inputs["graph.json"], results["metrics"]
+        results[stage.name] = globals()[f"stage_{stage.name}"](cfg, consumed, out)
+    graph, met = results["build"], results["metrics"]
     by_code = {row["code"]: row for row in met["centrality"]}
     top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)]
     top_clique = is_clique(graph, [row["code"] for row in top_rows])

@@ -3,7 +3,7 @@ renderings with four layout encodings, and CSV series with SVG line charts.
 
 Every emitter is a pure function producing byte-stable text: node and edge
 ordering is pinned, floats use fixed-width formatting, and line endings are
-LF throughout.
+LF throughout. read_pajek and read_dot accept that text of their writer only.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .countries import REGIONS
 from .errors import DataError, UsageError
-from .graph import CoauthorshipGraph
+from .graph import CoauthorshipGraph, graph_from_edges
 from .metrics import top_k_by_degree
 from .temporal import SUMMARY_SELECTORS, WindowSeries
 
@@ -104,54 +105,29 @@ def write_pajek(g: CoauthorshipGraph) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(clu_lines) + "\n"
 
 
-_PAJEK_VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
-_PAJEK_EDGE_RE = re.compile(r"^(\d+)\s+(\d+)(?:\s+(\d+))?\s*$")
+# Every line of a text with its newline, and the last one without, if it has none.
+_LINES_RE = re.compile(r".*\n|.+")
+_PAJEK_VERTEX_RE = re.compile(r'^\d+ "(.*)"', re.M)
+_PAJEK_EDGE_RE = re.compile(r"^(\d+) (\d+) ([1-9]\d*)$", re.M)
 
 
 def read_pajek(text: str) -> tuple[list[str], dict[tuple[str, str], int]]:
-    """Parse a .net document back into (labels, {(a, b): weight})."""
-    labels: dict[int, str] = {}
-    edges: dict[tuple[str, str], int] = {}
-    section = None
-    expected = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        lowered = line.casefold()
-        if lowered.startswith("*vertices"):
-            section = "vertices"
-            try:
-                expected = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise DataError("malformed *Vertices header", line=lineno) from None
-            continue
-        if lowered.startswith("*edges"):
-            section = "edges"
-            continue
-        if line.startswith("*"):
-            raise DataError(f"unsupported section {line!r}", line=lineno)
-        if section == "vertices":
-            match = _PAJEK_VERTEX_RE.match(line)
-            if not match:
-                raise DataError(f"malformed vertex line {line!r}", line=lineno)
-            labels[int(match.group(1))] = match.group(2)
-        elif section == "edges":
-            match = _PAJEK_EDGE_RE.match(line)
-            if not match:
-                raise DataError(f"malformed edge line {line!r}", line=lineno)
-            i, j = int(match.group(1)), int(match.group(2))
-            w = int(match.group(3)) if match.group(3) else 1
-            if i not in labels or j not in labels:
-                raise DataError(f"edge references unknown vertex index {i} or {j}", line=lineno)
-            a, b = sorted((labels[i], labels[j]))
-            edges[(a, b)] = w
-        else:
-            raise DataError(f"content before any section: {line!r}", line=lineno)
-    if len(labels) != expected:
-        raise DataError(f"vertex count mismatch: header said {expected}, found {len(labels)}")
-    ordered = [labels[i] for i in sorted(labels)]
-    return ordered, edges
+    """(labels, {(a, b): weight}) of a .net document as write_pajek writes it. The vertex labels and
+    the `i j w` lines with i's label before j's spell a graph; DataError names the first line at
+    which `text` differs from write_pajek of that graph."""
+    labels = _PAJEK_VERTEX_RE.findall(text)
+    index = {str(i): code for i, code in enumerate(labels, start=1)}
+    edges = {(index[i], index[j]): int(w) for i, j, w in _PAJEK_EDGE_RE.findall(text)
+             if i in index and j in index and index[i] < index[j]}
+    net, _ = write_pajek(graph_from_edges([(a, b, w) for (a, b), w in edges.items()], nodes=labels))
+    for lineno, (got, want) in enumerate(zip_longest(_LINES_RE.findall(text), _LINES_RE.findall(net)), start=1):
+        if got != want:
+            raise DataError(f"found {_shown(got)} where write_pajek writes {_shown(want)}", line=lineno)
+    return labels, edges
+
+
+def _shown(line: str | None) -> str:
+    return repr(line) if line else "the end of the text"
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +147,30 @@ def write_dot(g: CoauthorshipGraph, layout: RenderedLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_NODE_RE = re.compile(r'^\s*"([^"]+)"(?:\s+\[[^\]]*\])?;$')
-_DOT_EDGE_RE = re.compile(r'^\s*"([^"]+)"\s+--\s+"([^"]+)"\s+\[([^\]]*)\];$')
-_DOT_WEIGHT_RE = re.compile(r"weight=(\d+)")
+_DOT_NODE_RE = re.compile(r'  "([^"]+)" \[pos="-?\d+\.\d{4},-?\d+\.\d{4}!", width=\d+\.\d{4}\];\n')
+_DOT_EDGE_RE = re.compile(r'  "([^"]+)" -- "([^"]+)" \[weight=([1-9]\d*), penwidth=\d+\.\d{2}\];\n')
 
 
 def read_dot(text: str) -> tuple[list[str], dict[tuple[str, str], int]]:
-    """Parse a DOT document produced by write_dot back into (labels, edges)."""
-    nodes: list[str] = []
+    """(labels, {(a, b): weight}) of a DOT document as write_dot writes it: the header, one node
+    line per code by ascending code, one edge line per pair of those codes (a < b) by ascending
+    pair, then `}` and a newline. DataError names the first line that is not one of these in its place."""
+    lines = _LINES_RE.findall(text)
+    nodes: dict[str, None] = {}
     edges: dict[tuple[str, str], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line or line in ("graph coauthorship {", "}"):
+    for lineno, line in enumerate([*lines, ""], start=1):
+        node, edge = _DOT_NODE_RE.fullmatch(line), _DOT_EDGE_RE.fullmatch(line)
+        pair = edge and (edge[1], edge[2])
+        if lineno == 1 and line == "graph coauthorship {\n":
             continue
-        edge_match = _DOT_EDGE_RE.match(line)
-        if edge_match:
-            a, b = sorted((edge_match.group(1), edge_match.group(2)))
-            weight_match = _DOT_WEIGHT_RE.search(edge_match.group(3))
-            if not weight_match:
-                raise DataError(f"edge without weight attribute: {line!r}", line=lineno)
-            edges[(a, b)] = int(weight_match.group(1))
-            continue
-        node_match = _DOT_NODE_RE.match(line)
-        if node_match:
-            nodes.append(node_match.group(1))
-            continue
-        raise DataError(f"unrecognized DOT line {line!r}", line=lineno)
-    return nodes, edges
+        if lineno > 1 and node and not edges and next(reversed(nodes), "") < node[1]:
+            nodes[node[1]] = None
+        elif edge and pair[0] < pair[1] and {*pair} <= nodes.keys() and next(reversed(edges), ("", "")) < pair:
+            edges[pair] = int(edge[3])
+        elif line == "}\n" and lineno == len(lines) > 1:
+            return list(nodes), edges
+        else:
+            raise DataError(f"write_dot does not write {_shown(line)} here", line=lineno)
 
 
 # ---------------------------------------------------------------------------

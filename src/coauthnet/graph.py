@@ -209,8 +209,8 @@ class CoauthorshipGraph:
 def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> CoauthorshipGraph:
     """Build a graph directly from an edge list (weights default to 1).
 
-    Convenience for synthetic graphs: edges come in any order and orientation,
-    and node attributes beyond the code are left unset.
+    The builder of synthetic graphs and of read_pajek's graph: edges come in any
+    order and orientation, and node attributes beyond the code are left unset.
     """
     edges = [(*edge, 1) if len(edge) == 2 else edge for edge in edges]
     edges = sorted((min(a, b), max(a, b), w) for a, b, w in edges)

@@ -12,8 +12,10 @@ from coauthnet.countries import REGIONS
 from coauthnet.export import (
     EDGE_W_MAX,
     EDGE_W_MIN,
+    LAYOUT_KINDS,
     R_MAX,
     R_MIN,
+    SIZE_ATTRS,
     LayoutSpec,
     compute_layout,
     emit_series,
@@ -24,10 +26,11 @@ from coauthnet.export import (
     write_dot,
     write_pajek,
 )
-from coauthnet.graph import CoauthorshipGraph, NodeAttr, _checked, graph_from_edges
+from coauthnet.graph import CoauthorshipGraph, NodeAttr, _checked, build_network, graph_from_edges
+from coauthnet.ingest import parse_records
 from coauthnet.temporal import SUMMARY_SELECTORS, WindowSeries
 
-from conftest import FIXTURE_EDGES, random_edges
+from conftest import FIXTURE_CORPUS, FIXTURE_EDGES, random_edges
 
 
 def attr_graph(edges, attrs):
@@ -68,15 +71,41 @@ def test_pajek_partition_document():
     assert clu == "*Vertices 2\n1\n3\n"
 
 
-def test_pajek_reader_rejects_malformed():
-    with pytest.raises(DataError):
-        read_pajek("1 \"A\"\n")
-    with pytest.raises(DataError):
-        read_pajek("*Vertices 1\nbogus line\n")
-    with pytest.raises(DataError):
-        read_pajek('*Vertices 2\n1 "A"\n*Edges\n')
-    with pytest.raises(DataError):
-        read_pajek('*Vertices 1\n1 "A"\n*Edges\n1 9 1\n')
+def _edit(text: str, start: int, stop: int, *new: str) -> str:
+    """`text` with its 1-based lines start..stop-1 replaced by `new`."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: start - 1] + list(new) + lines[stop - 1 :])
+
+
+# A 4-node, 4-edge export each reader must reject once one line of it changes.
+_EDITED = graph_from_edges([("A", "B", 2), ("A", "C", 1), ("B", "C", 3), ("C", "D", 1)])
+_NET = write_pajek(_EDITED)[0]  # line 1 *Vertices 4, 2-5 vertices, 6 *Edges, 7-10 edges
+_DOT = write_dot(_EDITED, compute_layout(_EDITED, LayoutSpec(size_attr="degree")))  # 1 header, 2-5, 6-9, 10 }
+_DOT_LINES = _DOT.splitlines(keepends=True)
+
+# Malformed text and the line its DataError names.
+_BAD_NET = {
+    "no-header": ('1 "A"\n', 1),
+    "bogus-vertex": ("*Vertices 1\nbogus line\n", 1),
+    "vertex-count": ('*Vertices 2\n1 "A"\n*Edges\n', 1),
+    "unknown-index": ('*Vertices 1\n1 "A"\n*Edges\n1 9 1\n', 4),
+    "crlf": (_NET.replace("\n", "\r\n"), 1),
+    "blank-line": (_edit(_NET, 3, 3, "\n"), 3),
+    "trailing-space": (_edit(_NET, 2, 3, '1 "A" \n'), 2),
+    "no-final-newline": (_NET[:-1], 10),
+    "duplicate-edge": (_edit(_NET, 8, 8, "1 2 2\n"), 8),
+    "swapped-edges": (_edit(_NET, 7, 9, "1 3 1\n", "1 2 2\n"), 7),
+    "reversed-edge": (_edit(_NET, 7, 8, "2 1 2\n"), 7),
+    "no-weight": (_edit(_NET, 7, 8, "1 2\n"), 7),
+    "lower-case-header": (_NET.replace("*Vertices", "*vertices"), 1),
+}
+
+
+@pytest.mark.parametrize("text, line", _BAD_NET.values(), ids=list(_BAD_NET))
+def test_pajek_reader_rejects_malformed(text, line):
+    with pytest.raises(DataError) as info:
+        read_pajek(text)
+    assert info.value.line == line
 
 
 def test_pajek_round_trip_random_graphs():
@@ -142,9 +171,33 @@ def test_dot_with_layout_still_round_trips(fixture_graph):
     assert edges == {(a, b): w for a, b, w in fixture_graph.edges()}
 
 
-def test_dot_reader_rejects_garbage():
-    with pytest.raises(DataError):
-        read_dot("graph coauthorship {\n  what is this\n}\n")
+_BAD_DOT = {
+    "garbage": ("graph coauthorship {\n  what is this\n}\n", 2),
+    "crlf": (_DOT.replace("\n", "\r\n"), 1),
+    "blank-line": (_edit(_DOT, 3, 3, "\n"), 3),
+    "trailing-space": (_edit(_DOT, 2, 3, _DOT_LINES[1][:-1] + " \n"), 2),
+    "no-final-newline": (_DOT[:-1], 10),
+    "duplicate-edge": (_edit(_DOT, 7, 7, _DOT_LINES[5]), 7),
+    "swapped-edges": (_edit(_DOT, 6, 8, _DOT_LINES[6], _DOT_LINES[5]), 7),
+    "reversed-edge": (_edit(_DOT, 6, 7, _DOT_LINES[5].replace('"A" -- "B"', '"B" -- "A"')), 6),
+    "no-closing-brace": (_edit(_DOT, 10, 11), 10),
+}
+
+
+@pytest.mark.parametrize("text, line", _BAD_DOT.values(), ids=list(_BAD_DOT))
+def test_dot_reader_rejects_garbage(text, line):
+    with pytest.raises(DataError) as info:
+        read_dot(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("kind", LAYOUT_KINDS)
+@pytest.mark.parametrize("size_attr", SIZE_ATTRS)
+def test_dot_round_trips_under_every_layout(kind, size_attr, registry):
+    g = build_network(parse_records(FIXTURE_CORPUS), registry)
+    nodes, edges = read_dot(write_dot(g, compute_layout(g, LayoutSpec(kind=kind, size_attr=size_attr))))
+    assert nodes == g.codes()
+    assert edges == {(a, b): w for a, b, w in g.edges()}
 
 
 # ---------------------------------------------------------------------------
