@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .countries import CountryRegistry, builtin_registry
 from .errors import DataError, UsageError, read_json
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, compute_layout, emit_series, render_network_svg, write_dot
-from .export import write_pajek
+from .export import RenderedLayout, write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
 from .metrics import CLUSTERING_MODES, centrality_table, degree_distribution, is_clique
@@ -255,13 +255,15 @@ def _check_config(cfg: argparse.Namespace) -> None:
             raise UsageError(f"{name} must be >= {floor}")
 
 
-def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> None:
-    """Render all four texts first, so a graph that cannot be drawn leaves no file."""
+def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> RenderedLayout:
+    """Render all four texts first, so a graph that cannot be drawn leaves no file.
+    Returns the layout drawn, whose highlight is center_top_k's ranked top k."""
     net, clu = write_pajek(graph)
     layout = compute_layout(graph, _layout_spec(cfg))
     dot, svg = write_dot(graph, layout), render_network_svg(graph, layout)
     for suffix, text in (("net", net), ("clu", clu), ("dot", dot), ("svg", svg)):
         out.text(f"network.{suffix}", text)
+    return layout
 
 
 def _pct(fraction: float) -> str:
@@ -364,7 +366,9 @@ def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
         results[stage.name] = globals()[f"stage_{stage.name}"](cfg, consumed, out)
     graph, met = results["build"], results["metrics"]
     by_code = {row["code"]: row for row in met["centrality"]}
-    top_rows = [by_code[code] for code in top_k_by_degree(graph, cfg.top_k)]
+    # center_top_k drew the top k already; rank it here only for the other layouts.
+    top = results["export"].highlight if cfg.layout == "center_top_k" else top_k_by_degree(graph, cfg.top_k)
+    top_rows = [by_code[code] for code in top]
     top_clique = is_clique(graph, [row["code"] for row in top_rows])
     sections = (met["summary"], top_rows, top_clique, met["smallworld"], results["densify"], results["slice"])
     out.text("report.md", _report_markdown(cfg, corpus.coverage, *sections, out.names))

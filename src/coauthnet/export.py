@@ -74,12 +74,13 @@ class LayoutSpec:
 @dataclass
 class RenderedLayout:
     """What write_dot and render_network_svg draw: node positions and radii, each edge as
-    (a, b, weight, width) in g.edges() order, and the highlighted codes (center_top_k's top k)."""
+    (a, b, weight, width) in g.edges() order, and the highlighted codes: center_top_k's top k
+    as ranked by top_k_by_degree, empty for the other layouts."""
 
     positions: dict[str, tuple[float, float]]
     radii: dict[str, float]
     edges: list[tuple[str, str, int, float]]
-    highlight: set[str]
+    highlight: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,7 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
     codes = g.codes()
     positions: dict[str, tuple[float, float]] = {}
     center = (0.5, 0.5)
-    highlight: set[str] = set()
+    highlight: tuple[str, ...] = ()
 
     if spec.kind == "circular":
         for i, code in enumerate(codes):
@@ -228,11 +229,10 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
                 positions[code] = _on_circle(slot, 0.13, len(members), j)
 
     elif spec.kind == "center_top_k":
-        inner = top_k_by_degree(g, spec.k)
-        highlight = set(inner)
+        highlight = tuple(top_k_by_degree(g, spec.k))
         outer = [c for c in codes if c not in highlight]
-        for i, code in enumerate(inner):
-            positions[code] = _on_circle(center, 0.16, len(inner), i)
+        for i, code in enumerate(highlight):
+            positions[code] = _on_circle(center, 0.16, len(highlight), i)
         for i, code in enumerate(outer):
             positions[code] = _on_circle(center, 0.42, len(outer), i)
 

@@ -4,12 +4,24 @@ Canonical input is JSONL (one object per line with fields id, year, text,
 countries, subjects); a CSV alternative uses the same field names with
 semicolon-joined list cells. Records carry affiliation country names as
 written; resolution to canonical codes happens later, in graph.ResolvedCorpus.
+
+parse_records reads JSONL in one pass per line. The scanner behind
+json.loads decodes the line from its first character, and its value is kept
+when it ends exactly at the line's end; any other line (blank, indented,
+with a BOM, trailing data or an int of too many digits) goes to json.loads,
+so every line gets a per-line json.loads's verdict and message. Each record
+is validated as it is read, its countries and subjects typed, stripped and
+de-duplicated in one walk; duplicate ids are found in the same pass, but
+the first is reported only after the last line, so a malformed line
+anywhere in the file wins. The records are then sorted in place.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DataError, UsageError, csv_rows, not_utf8
@@ -52,13 +64,21 @@ class RecordSet:
         return len(self.records)
 
 
-def _dedup(items: list[str]) -> list[str]:
-    seen: dict[str, None] = {}
-    for item in items:
-        item = item.strip()
-        if item:
-            seen.setdefault(item)
-    return list(seen)
+def _names(value, name: str, rid: str, line: int) -> list[str]:
+    """A record's countries or subjects in one walk: each item stripped, blank
+    items and repeats dropped, first occurrences kept in order. DataError
+    unless `value` is a list of strings."""
+    if isinstance(value, list):
+        seen: dict[str, None] = {}
+        for item in value:
+            if not isinstance(item, str):
+                break
+            item = item.strip()
+            if item:
+                seen[item] = None
+        else:
+            return list(seen)
+    raise DataError(f"record {rid!r}: {name} must be a list of strings", line=line)
 
 
 def _record_from_fields(obj: dict, line: int) -> PublicationRecord:
@@ -66,84 +86,82 @@ def _record_from_fields(obj: dict, line: int) -> PublicationRecord:
     if not isinstance(rid, str) or not rid:
         raise DataError("record id must be a non-empty string", line=line)
     year = obj.get("year")
-    if isinstance(year, bool) or not isinstance(year, int):
+    if type(year) is not int:
         raise DataError(f"record {rid!r}: year must be an integer", line=line)
     if not YEAR_MIN <= year <= YEAR_MAX:
         raise DataError(f"record {rid!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]", line=line)
     text = obj.get("text", "")
     if not isinstance(text, str):
         raise DataError(f"record {rid!r}: text must be a string", line=line)
-    countries = obj.get("countries", [])
-    subjects = obj.get("subjects", [])
-    for name, value in (("countries", countries), ("subjects", subjects)):
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise DataError(f"record {rid!r}: {name} must be a list of strings", line=line)
-    return PublicationRecord(
-        id=rid,
-        year=year,
-        text=text,
-        raw_countries=_dedup(countries),
-        subjects=_dedup(subjects),
-    )
+    countries = _names(obj.get("countries", []), "countries", rid, line)
+    subjects = _names(obj.get("subjects", []), "subjects", rid, line)
+    return PublicationRecord(rid, year, text, countries, subjects)
 
 
-def _parse_jsonl(path: Path) -> list[tuple[PublicationRecord, int]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+def _jsonl_objects(fh):
+    """Yield (line number, JSON object) per non-blank line of the text `fh`:
+    the scanner's value when it ends at the line's end, else json.loads's."""
+    scan = json.decoder.JSONDecoder().scan_once
+    for line, raw in enumerate(fh, start=1):
+        try:
+            obj, end = scan(raw, 0)
+            clean = raw[end:] in ("\n", "")
+        except (StopIteration, ValueError, RecursionError):
+            clean = False
+        if not clean:
             if not raw.strip():
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
+                raise DataError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line) from exc
             except RecursionError as exc:
-                raise DataError("invalid JSON: nested too deeply", line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise DataError("each line must hold a JSON object", line=lineno)
-            out.append((_record_from_fields(obj, lineno), lineno))
-    return out
+                raise DataError("invalid JSON: nested too deeply", line=line) from exc
+        if not isinstance(obj, dict):
+            raise DataError("each line must hold a JSON object", line=line)
+        yield line, obj
 
 
-def _parse_csv(path: Path) -> list[tuple[PublicationRecord, int]]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in csv_rows(fh, _FIELDS, "CSV"):
-            year_raw = row["year"].strip()
-            if not year_raw:
-                raise DataError("missing year", line=lineno)
-            try:
-                year: object = int(year_raw)
-            except ValueError:
-                raise DataError(f"year {year_raw!r} is not an integer", line=lineno) from None
-            lists = {name: row[name].split(";") for name in ("countries", "subjects")}
-            obj = {**row, "id": row["id"].strip(), "year": year, **lists}
-            out.append((_record_from_fields(obj, lineno), lineno))
-    return out
+def _csv_objects(fh):
+    """Yield (line number, record fields) per non-blank data row of the CSV text `fh`."""
+    for line, row in csv_rows(fh, _FIELDS, "CSV"):
+        year_raw = row["year"].strip()
+        if not year_raw:
+            raise DataError("missing year", line=line)
+        try:
+            year: object = int(year_raw)
+        except ValueError:
+            raise DataError(f"year {year_raw!r} is not an integer", line=line) from None
+        lists = {name: row[name].split(";") for name in ("countries", "subjects")}
+        yield line, {**row, "id": row["id"].strip(), "year": year, **lists}
 
 
 def parse_records(path: str | Path, fmt: str = "jsonl") -> RecordSet:
     """Parse a record file into a RecordSet sorted by (year, id).
 
     Raises DataError (with line number) for malformed rows and duplicate ids;
-    I/O problems propagate as OSError.
+    a malformed row anywhere wins over a duplicate id, and the first duplicate
+    in file order wins over later ones. I/O problems propagate as OSError.
     """
+    if fmt not in ("jsonl", "csv"):
+        raise UsageError(f"unknown input format {fmt!r} (expected jsonl or csv)")
     path = Path(path)
+    records = []
+    first_line: dict[str, int] = {}
+    duplicate = None
     try:
-        if fmt == "jsonl":
-            rows = _parse_jsonl(path)
-        elif fmt == "csv":
-            rows = _parse_csv(path)
-        else:
-            raise UsageError(f"unknown input format {fmt!r} (expected jsonl or csv)")
+        with open(path, encoding="utf-8", newline=None if fmt == "jsonl" else "") as fh:
+            for line, obj in (_jsonl_objects if fmt == "jsonl" else _csv_objects)(fh):
+                record = _record_from_fields(obj, line)
+                first = first_line.setdefault(record.id, line)
+                if first != line and duplicate is None:
+                    duplicate = DataError(f"duplicate record id {record.id!r} (first seen on line {first})", line=line)
+                records.append(record)
     except UnicodeDecodeError as exc:
         raise not_utf8(path) from exc
-    seen: dict[str, int] = {}
-    for record, lineno in rows:
-        if record.id in seen:
-            raise DataError(f"duplicate record id {record.id!r} (first seen on line {seen[record.id]})", line=lineno)
-        seen[record.id] = lineno
-    records = sorted((r for r, _ in rows), key=lambda r: (r.year, r.id))
+    if duplicate is not None:
+        raise duplicate
+    records.sort(key=attrgetter("year", "id"))
     return RecordSet(records=records)
 
 
@@ -152,22 +170,26 @@ def write_records_jsonl(rs: RecordSet, path: str | Path) -> None:
 
     Each line is json.dumps(obj, ensure_ascii=False, separators=(",", ":")) of
     the fields id, year, text, countries and subjects, built from the string
-    function that encoder calls; year is a validated int, whose JSON is its repr."""
+    function that encoder calls; year is a validated int, whose JSON is its repr.
+    The lines go to the file in one write."""
     enc = json.encoder.encode_basestring
+    text = "".join(
+        f'{{"id":{enc(r.id)},"year":{r.year},"text":{enc(r.text)},'
+        f'"countries":[{",".join(map(enc, r.raw_countries))}],"subjects":[{",".join(map(enc, r.subjects))}]}}\n'
+        for r in rs.records
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in rs.records:
-            countries, subjects = ",".join(map(enc, r.raw_countries)), ",".join(map(enc, r.subjects))
-            fh.write(f'{{"id":{enc(r.id)},"year":{r.year},"text":{enc(r.text)},'
-                     f'"countries":[{countries}],"subjects":[{subjects}]}}\n')
+        fh.write(text)
 
 
 def filter_topic(rs: RecordSet, variants: list[str] | tuple[str, ...]) -> RecordSet:
-    """Keep records whose text contains any variant (case-insensitive substring)."""
+    """Keep records whose text contains any variant (case-insensitive substring):
+    one search per casefolded text for the alternation of the escaped terms."""
     terms = [v.strip().casefold() for v in variants if v.strip()]
     if not terms:
         raise UsageError("topic variant list must not be empty")
-    kept = [r for r in rs.records if any(t in r.text.casefold() for t in terms)]
-    return RecordSet(records=kept)
+    search = re.compile("|".join(map(re.escape, terms))).search
+    return RecordSet(records=[r for r in rs.records if search(r.text.casefold())])
 
 
 def coverage_stats(papers: int, with_affiliation: int, unknown: dict[str, int]) -> CoverageStats:

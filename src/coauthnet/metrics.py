@@ -4,13 +4,15 @@ clustering, degree distribution, clique test and the small-world comparison.
 All operations are pure functions of an immutable graph and ignore edge
 weights. Components, geodesics, closeness and clustering read one dense
 kernel result per graph (`_Geodesics`): the n x n boolean adjacency matrix
-of the graph, in ascending code order, expanded level by level into
-all-pairs hop distances (`next = (frontier . A > 0) & ~reach`, one product
-per BFS level for all sources at once), with per-node triangle counts
-diag(A.A.A)/2 read off the first product. Country graphs have at most a few
-hundred nodes, so the matrices always fit. The small-world comparison draws
-each random sample as upper-triangle ranks (the m smallest of one 64-bit key
-per rank) and stores them straight into the same kernel's matrix.
+of the graph, in ascending code order (filled by one store at the flat
+indices that np.fromiter over the neighbour views and np.repeat over the
+degrees give), expanded level by level into all-pairs hop distances
+(`next = (frontier . A > 0) & ~reach`, one product per BFS level for all
+sources at once), with per-node triangle counts diag(A.A.A)/2 read off the
+first product. Country graphs have at most a few hundred nodes, so the
+matrices always fit. The small-world comparison draws each random sample as
+upper-triangle ranks (the m smallest of one 64-bit key per rank) and stores
+them straight into the same kernel's matrix.
 
 The kernel keeps the bytes of every result:
 - path lengths and triangle counts accumulate as exact integers, and each
@@ -49,6 +51,11 @@ O(n^2) array work per queue position and O(n^3) per BFS level instead of
 O(n m) interpreter steps: a win on dense country graphs, a loss on long
 sparse chains with many levels.
 
+`summary_fields` computes every GraphSummary field but the two code lists,
+the max-degree holders and the diameter endpoint pairs, which only `summary`
+adds (the pairs through `path_stats`), so the per-window series build no
+endpoint pair.
+
 numpy is imported inside the functions that touch an array, never at module
 level, so `ingest`, `build`, `densify` and `export` never load it.
 """
@@ -58,6 +65,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import UsageError
 from .graph import CoauthorshipGraph
@@ -121,7 +129,10 @@ def _geodesics(g: CoauthorshipGraph) -> _Geodesics:
     """The kernel result of g, computed on first use and kept on the (immutable) graph.
 
     The boolean adjacency matrix is filled by one store at the flat indices
-    i * n + j of every node i's neighbours j, read in no particular order.
+    i * n + j of every node i's neighbours j, read in no particular order:
+    the columns j come from one np.fromiter over the chained neighbour views
+    and the row offsets i * n from np.repeat over the degrees, so no Python
+    list of indices is built.
     """
     import numpy as np
     geo = vars(g).get("_geodesics")
@@ -129,8 +140,10 @@ def _geodesics(g: CoauthorshipGraph) -> _Geodesics:
         codes = g.codes()
         n = len(codes)
         index = {code: i for i, code in enumerate(codes)}
+        rows = [g.neighbor_set(a) for a in codes]
+        cols = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), dtype=np.intp, count=2 * g.m)
         adj = np.zeros(n * n, dtype=bool)
-        adj[[i * n + index[b] for i, a in enumerate(codes) for b in g.neighbor_set(a)]] = True
+        adj[np.repeat(np.arange(n) * n, list(map(len, rows))) + cols] = True
         geo = g._geodesics = _Geodesics(adj.reshape(n, n))
     return geo
 
@@ -171,6 +184,15 @@ class PathStats:
     connected_pair_count: int
 
 
+def _path_lengths(geo: _Geodesics) -> tuple[int, float, int]:
+    """(diameter, mean path length, connected pair count) over the pairs in one component."""
+    import numpy as np
+    # dist is symmetric with a zero diagonal: each connected pair counts twice.
+    pairs = int(np.count_nonzero(geo.dist)) // 2
+    total = int(geo.dist.sum(dtype=np.int64)) // 2
+    return int(geo.dist.max(initial=0)), total / pairs if pairs else 0.0, pairs
+
+
 def path_stats(g: CoauthorshipGraph) -> PathStats:
     """All-pairs geodesic statistics over connected pairs only.
 
@@ -179,16 +201,15 @@ def path_stats(g: CoauthorshipGraph) -> PathStats:
     reported.
     """
     import numpy as np
+    geo = _geodesics(g)
+    diameter, mean_path_length, pairs = _path_lengths(geo)
     codes = g.codes()
-    upper = np.triu(_geodesics(g).dist, 1)
-    total = int(upper.sum(dtype=np.int64))
-    pairs = int(np.count_nonzero(upper))
-    diameter = int(upper.max(initial=0))
+    upper = np.triu(geo.dist, 1)
     first, second = np.nonzero((upper == diameter) & (upper > 0))
     return PathStats(
         diameter=diameter,
         diameter_endpoints=[(codes[i], codes[j]) for i, j in zip(first.tolist(), second.tolist())],
-        mean_path_length=total / pairs if pairs else 0.0,
+        mean_path_length=mean_path_length,
         connected_pair_count=pairs,
     )
 
@@ -438,32 +459,41 @@ class GraphSummary:
     empty: bool
 
 
+def summary_fields(g: CoauthorshipGraph, clustering_mode: str = DEFAULT_CLUSTERING_MODE) -> dict:
+    """The GraphSummary fields of g by name, all but its two code lists
+    (max_degree_codes, and diameter_endpoints from path_stats), which only
+    summary builds."""
+    n, m = g.n, g.m
+    geo = _geodesics(g)
+    part = components(g)
+    diameter, mean_path_length, _ = _path_lengths(geo)
+    _, avg_clustering = clustering(g, clustering_mode)
+    return {
+        "n": n,
+        "m": m,
+        "density": (2 * m) / (n * (n - 1)) if n >= 2 else 0.0,
+        "mean_degree": (2 * m) / n if n else 0.0,
+        "max_degree": int(geo.degree.max(initial=0)),
+        "diameter": diameter,
+        "mean_path_length": mean_path_length,
+        "avg_clustering": avg_clustering,
+        "clustering_mode": clustering_mode,
+        "isolated_count": part.isolated_count,
+        "isolated_fraction": part.isolated_count / n if n else 0.0,
+        "giant_size": part.giant_size,
+        "giant_fraction": part.giant_size / n if n else 0.0,
+        "empty": n == 0,
+    }
+
+
 def summary(g: CoauthorshipGraph, clustering_mode: str = DEFAULT_CLUSTERING_MODE) -> GraphSummary:
     """One-stop structural report: counts, density, degrees, geodesics,
     clustering, isolated-node and giant-component shares."""
-    degree = g.degrees()
-    n, m = g.n, g.m
-    max_degree = max(degree.values(), default=0)
-    part = components(g)
-    paths = path_stats(g)
-    _, avg_clust = clustering(g, clustering_mode)
+    fields = summary_fields(g, clustering_mode)
     return GraphSummary(
-        n=n,
-        m=m,
-        density=(2 * m) / (n * (n - 1)) if n >= 2 else 0.0,
-        mean_degree=(2 * m) / n if n else 0.0,
-        max_degree=max_degree,
-        max_degree_codes=sorted(c for c, d in degree.items() if d == max_degree),
-        diameter=paths.diameter,
-        diameter_endpoints=paths.diameter_endpoints,
-        mean_path_length=paths.mean_path_length,
-        avg_clustering=avg_clust,
-        clustering_mode=clustering_mode,
-        isolated_count=part.isolated_count,
-        isolated_fraction=part.isolated_count / n if n else 0.0,
-        giant_size=part.giant_size,
-        giant_fraction=part.giant_size / n if n else 0.0,
-        empty=n == 0,
+        **fields,
+        max_degree_codes=sorted(c for c, d in g.degrees().items() if d == fields["max_degree"]),
+        diameter_endpoints=path_stats(g).diameter_endpoints,
     )
 
 

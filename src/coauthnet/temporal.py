@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from .countries import REGIONS
 from .errors import UsageError
 from .graph import ResolvedCorpus, TimeWindow
-from .metrics import DEFAULT_CLUSTERING_MODE, summary
+from .metrics import DEFAULT_CLUSTERING_MODE, summary_fields
 
 WINDOW_MODES = ("sliding", "cumulative")
 
@@ -67,8 +67,9 @@ def metric_series(
     """Step one graph per window, in end-year order, and keep its SUMMARY_SELECTORS values.
 
     Each window's graph is stepped from the previous one
-    (ResolvedCorpus.graphs). Only the row is kept, so each window's graph
-    and summary are freed before the next window is built.
+    (ResolvedCorpus.graphs), and its row read from metrics.summary_fields, so
+    no window builds the diameter endpoints that summary publishes. Only the
+    row is kept, so each window's graph is freed before the next is built.
     """
     ordered = sorted(windows, key=lambda w: (w.end_year, w.start_year))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -76,8 +77,8 @@ def metric_series(
             raise UsageError("windows must have strictly increasing end years")
     rows = []
     for g in corpus.graphs(ordered):
-        s = summary(g, clustering_mode)
-        rows.append(tuple(getattr(s, c) for c in SUMMARY_SELECTORS))
+        fields = summary_fields(g, clustering_mode)
+        rows.append(tuple(fields[c] for c in SUMMARY_SELECTORS))
     return WindowSeries(windows=ordered, rows=rows)
 
 

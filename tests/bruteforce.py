@@ -4,8 +4,12 @@ enumeration of shortest paths. Only suitable for small graphs."""
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
+
+from coauthnet.errors import DataError
+from coauthnet.ingest import YEAR_MAX, YEAR_MIN, PublicationRecord, RecordSet
 
 INF = math.inf
 
@@ -170,3 +174,60 @@ def oracle_edge_weights(records_with_codes):
         for a, b in combinations(distinct, 2):
             weights[(a, b)] = weights.get((a, b), 0) + 1
     return weights
+
+
+def _oracle_dedup(items):
+    seen = {}
+    for item in items:
+        item = item.strip()
+        if item:
+            seen.setdefault(item)
+    return list(seen)
+
+
+def _oracle_record(obj, line):
+    rid = obj.get("id")
+    if not isinstance(rid, str) or not rid:
+        raise DataError("record id must be a non-empty string", line=line)
+    year = obj.get("year")
+    if isinstance(year, bool) or not isinstance(year, int):
+        raise DataError(f"record {rid!r}: year must be an integer", line=line)
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise DataError(f"record {rid!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]", line=line)
+    text = obj.get("text", "")
+    if not isinstance(text, str):
+        raise DataError(f"record {rid!r}: text must be a string", line=line)
+    countries = obj.get("countries", [])
+    subjects = obj.get("subjects", [])
+    for name, value in (("countries", countries), ("subjects", subjects)):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise DataError(f"record {rid!r}: {name} must be a list of strings", line=line)
+    return PublicationRecord(
+        id=rid, year=year, text=text, raw_countries=_oracle_dedup(countries), subjects=_oracle_dedup(subjects)
+    )
+
+
+def oracle_parse_records(path):
+    """The JSONL parse_records of a plain per-line reader: json.loads of every
+    non-blank line, all lines validated before any duplicate id is sought, then
+    one sort by (year, id). An int of too many digits escapes as ValueError."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"invalid JSON: {exc.msg}", line=line) from exc
+            except RecursionError as exc:
+                raise DataError("invalid JSON: nested too deeply", line=line) from exc
+            if not isinstance(obj, dict):
+                raise DataError("each line must hold a JSON object", line=line)
+            rows.append((_oracle_record(obj, line), line))
+    seen = {}
+    for record, line in rows:
+        if record.id in seen:
+            raise DataError(f"duplicate record id {record.id!r} (first seen on line {seen[record.id]})", line=line)
+        seen[record.id] = line
+    return RecordSet(records=sorted((r for r, _ in rows), key=lambda r: (r.year, r.id)))

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coauthnet import CoauthorshipGraph, cli, export
+from coauthnet import CoauthorshipGraph, cli, export, metrics
 from coauthnet.cli import main
 from coauthnet.countries import REGIONS
-from coauthnet.export import read_pajek
+from coauthnet.export import LAYOUT_KINDS, read_pajek
 
 from conftest import FIXTURE_CORPUS, synthetic_corpus_rows, write_jsonl
 
@@ -246,6 +246,35 @@ def test_export_lays_the_graph_out_once(tmp_path, monkeypatch, capsys):
         "coauthnet.cli.write_pajek",
         "coauthnet.export.top_k_by_degree",
     ]
+
+
+@pytest.mark.parametrize("layout", LAYOUT_KINDS)
+def test_report_ranks_the_top_k_once(tmp_path, monkeypatch, capsys, layout):
+    # report.md's top-k rows reuse the ranking that center_top_k drew; the
+    # other layouts draw none, so the report ranks once for its rows.
+    calls = []
+    rank = metrics.top_k_by_degree
+
+    def counted(g, k):
+        calls.append(k)
+        return rank(g, k)
+
+    for module in (cli, export):
+        monkeypatch.setattr(module, "top_k_by_degree", counted)
+    assert run("report", "--input", FIXTURE_CORPUS, "--layout", layout, "--out", tmp_path / "out") == 0
+    assert calls == [10]
+
+
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_record_int_of_too_many_digits_is_data_exit(tmp_path, capsys, command):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an int
+    # beyond the interpreter's digit limit (4,300 by default).
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "year": 1986}\n{"id": "b", "year": ' + "1" * 5000 + "}\n", encoding="utf-8")
+    assert run(command, "--input", bad, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2: invalid JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
 
 
 def test_failed_ingest_leaves_no_artifact_and_no_section(tmp_path, capsys):

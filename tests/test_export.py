@@ -232,7 +232,7 @@ def test_center_top_k_inner_nodes():
         x, y = layout.positions[code]
         return math.hypot(x - center[0], y - center[1])
 
-    assert layout.highlight == {"S", "L0"}
+    assert layout.highlight == ("S", "L0")
     for code in g.codes():
         if code in layout.highlight:
             assert dist(code) == pytest.approx(0.16)

@@ -3,13 +3,14 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coauthnet import DataError, ResolvedCorpus, UsageError, filter_topic, parse_records
 from coauthnet.ingest import YEAR_MAX, YEAR_MIN, PublicationRecord, RecordSet, coverage_stats, load_variants
 from coauthnet.ingest import write_records_jsonl
 
+from bruteforce import oracle_parse_records
 from conftest import synthetic_corpus_rows, write_jsonl
 
 
@@ -89,6 +90,72 @@ def test_parse_rejects_invalid_json(tmp_path):
     path.write_text('{"id": "p1", "year": 1990}\nnot json\n', encoding="utf-8")
     with pytest.raises(DataError, match="line 2"):
         parse_records(path)
+
+
+# Record lines near the validator's edges: most are valid records over a few
+# ids (so duplicates occur), with padded, blank, repeated and non-JSON-blank
+# list items; some hold a year, text or list of the wrong type; some are
+# padded with spaces, non-JSON whitespace or a BOM, or carry trailing data;
+# some are blank or hold a value that is not an object.
+_NAME = st.sampled_from(["Austria", " Austria ", "Belgium", "Belgium", "", "  ", "\u3000", "\x0bChile", "\x85"])
+_VALID = st.fixed_dictionaries(
+    {"id": st.sampled_from("abcdefghij"), "year": st.sampled_from([1900, 1990, 2000, 2100])},
+    optional={"text": st.sampled_from(["chernobyl", ""]), "countries": st.lists(_NAME, max_size=4), "subjects": st.lists(_NAME, max_size=3)},
+)
+_WRONG = st.sampled_from(
+    [
+        ("id", ""), ("id", 7), ("year", 1899), ("year", True), ("year", 1990.0), ("year", float("nan")),
+        ("year", float("inf")), ("year", "1990"), ("text", 5), ("countries", "Austria"), ("countries", ["Austria", 3]),
+        ("subjects", [None]), ("subjects", {}),
+    ]
+)
+_EDGE = ["", " ", "\t", "\r", "\x0b", "\x0c", "\u3000", "\ufeff"]
+
+
+@st.composite
+def _record_line(draw):
+    fields = draw(_VALID)
+    kind = draw(st.integers(0, 9))  # 0-6 a valid record, 7-9 one of three faults
+    if kind == 7:
+        key, value = draw(_WRONG)
+        fields[key] = value
+    line = json.dumps(fields, ensure_ascii=draw(st.booleans()), separators=draw(st.sampled_from([None, (",", ":")])))
+    if kind == 8:
+        line = draw(st.sampled_from(_EDGE)) + line + draw(st.sampled_from([*_EDGE, "x", " {}", ",", "]"]))
+    elif kind == 9:
+        line = draw(st.sampled_from(["", " ", "\t", "\u3000", "\x0c ", "[]", "1", '"a"', "null", "NaN", "{", "{}}"]))
+    return line
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(_record_line(), max_size=8),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+)
+def test_one_pass_parse_matches_the_per_line_oracle(tmp_path, lines, newline, final):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes((newline.join(lines) + (newline if final else "")).encode("utf-8"))
+    try:
+        expected = oracle_parse_records(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            parse_records(path)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+    else:
+        assert parse_records(path) == expected
+
+
+@pytest.mark.parametrize("malformed_first", [True, False], ids=["malformed-then-duplicate", "duplicate-then-malformed"])
+def test_a_malformed_line_wins_over_a_duplicate_id(tmp_path, malformed_first):
+    lines = ['{"id": "a", "year": 1990}', '{"id": "b", "year": "x"}', '{"id": "a", "year": 1991}']
+    if not malformed_first:
+        lines.append(lines.pop(1))
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        parse_records(path)
+    assert str(info.value) == f"line {2 if malformed_first else 3}: record 'b': year must be an integer"
 
 
 def test_parse_unknown_format_is_usage_error(tmp_path):

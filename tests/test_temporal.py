@@ -161,6 +161,26 @@ def test_stepped_series_equals_per_window_summaries(tmp_path, registry, length, 
     assert series.rows == expected
 
 
+def test_series_builds_no_diameter_endpoints(tmp_path, registry, monkeypatch):
+    # The window rows publish the diameter but not its endpoint pairs; only
+    # summary, which summary.json and report.md read, has path_stats build them.
+    calls = []
+    build = coauthnet.metrics.path_stats
+
+    def counted(g):
+        calls.append(g.window)
+        return build(g)
+
+    monkeypatch.setattr(coauthnet.metrics, "path_stats", counted)
+    names = ["Ukraine", "France", "Japan", "Brazil", "Egypt", "Canada"]
+    corpus = ResolvedCorpus(_corpus(tmp_path, synthetic_corpus_rows(random.Random(4), 200, names)), registry)
+    series = metric_series(corpus, slice_windows(corpus.span, 1, 1, "cumulative"))
+    assert calls == []
+    assert max(_column(series, "diameter")) >= 1
+    s = summary(corpus.graph(series.windows[-1]))
+    assert calls == [series.windows[-1]] and s.diameter_endpoints
+
+
 def test_sliding_windows_ignore_outside_records(tmp_path, registry):
     # Sentinel countries publish only outside the window under test.
     rows = [
