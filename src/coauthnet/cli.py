@@ -16,7 +16,6 @@ included. Each artifact is written to a temporary name, then renamed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,12 +24,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .countries import CountryRegistry, builtin_registry
-from .errors import DataError, UsageError, read_json
+from .errors import DataError, UsageError, json_text, read_json
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, compute_layout, emit_series, render_network_svg, write_dot
 from .export import RenderedLayout, write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
-from .metrics import CLUSTERING_MODES, centrality_table, degree_distribution, is_clique
+from .metrics import CLUSTERING_MODES, DEFAULT_CLUSTERING_MODE, centrality_table, degree_distribution, is_clique
 from .metrics import small_world, summary, top_k_by_degree
 from .temporal import WINDOW_MODES, densification_fit, densification_snapshots, discipline_series
 from .temporal import first_year_series, metric_series, slice_windows
@@ -64,7 +63,7 @@ STAGES = (
 _REPORT_WRITES = ("first_years.json", "regions_cumulative.csv", "regions_cumulative.svg", "disciplines.csv",
                   "disciplines.svg", "report.md")
 
-# Every flag but --out, by dest, in usage order.
+# Every flag but --out, by dest, in usage order; the layout flags default to LayoutSpec's fields.
 _FLAGS = {
     "input": {"required": True, "help": "record file (JSONL or CSV)"},
     "format": {"choices": ("jsonl", "csv"), "default": "jsonl"},
@@ -73,13 +72,13 @@ _FLAGS = {
     "window_length": {"type": int, "default": 5},
     "step": {"type": int, "default": 5},
     "mode": {"choices": WINDOW_MODES, "default": "sliding"},
-    "clustering_mode": {"choices": CLUSTERING_MODES, "default": "exclude_low_degree"},
+    "clustering_mode": {"choices": CLUSTERING_MODES, "default": DEFAULT_CLUSTERING_MODE},
     "sw_samples": {"type": int, "default": 100},
     "seed": {"type": int, "default": 0},
-    "layout": {"choices": LAYOUT_KINDS, "default": "circular"},
-    "size_attr": {"choices": SIZE_ATTRS, "default": "paper_count"},
-    "gamma": {"type": float, "default": 0.5},
-    "top_k": {"type": int, "default": 10},
+    "layout": {"choices": LAYOUT_KINDS, "default": LayoutSpec.kind},
+    "size_attr": {"choices": SIZE_ATTRS, "default": LayoutSpec.size_attr},
+    "gamma": {"type": float, "default": LayoutSpec.gamma},
+    "top_k": {"type": int, "default": LayoutSpec.k},
 }
 
 
@@ -103,10 +102,8 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
-
-class _CommandParser(_Parser):
-    # Report a subcommand's leftover arguments with its own usage; argparse
-    # hands them back to the top-level parser, which shows the top-level one.
+    # Report leftover arguments with the usage of the parser that got them: argparse
+    # hands a subcommand's back to the top-level parser, which shows the top-level one.
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
@@ -116,7 +113,7 @@ class _CommandParser(_Parser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="coauthnet", description="Country-level coauthorship network toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     commands = [(s.name, s.help, {f for u in _upstream(s) for f in u.flags} - set(s.flags)) for s in STAGES]
     for name, help_text, shaping in [*commands, ("report", "run the whole pipeline and write report.md", set())]:
         p = sub.add_parser(name, help=help_text)
@@ -152,7 +149,7 @@ class OutputDir:
             path.write_text(text, encoding="utf-8")
 
     def json(self, name: str, payload) -> None:
-        self.text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.text(name, json_text(payload))
 
 
 def _cached(root: Path, name: str) -> Path:
@@ -270,9 +267,9 @@ def _pct(fraction: float) -> str:
     return f"{100.0 * fraction:.1f}%"
 
 
-def _pairs_text(pairs, limit: int = 6) -> str:
-    shown = [f"{a}-{b}" for a, b in pairs[:limit]]
-    if len(pairs) > limit:
+def _pairs_text(pairs) -> str:
+    shown = [f"{a}-{b}" for a, b in pairs[:6]]
+    if len(pairs) > 6:
         shown.append(f"... ({len(pairs)} pairs total)")
     return ", ".join(shown) if shown else "none"
 

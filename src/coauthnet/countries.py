@@ -74,12 +74,6 @@ class CountryRegistry:
     def codes(self) -> list[str]:
         return sorted(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries.values())
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountryRegistry":
         """Load a registry from CSV: code,display_name,region,historic,aliases.

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the readers' helpers that
-turn a decoding failure into a DataError naming its line."""
+"""Exception types shared across the toolkit, the readers' helpers that turn a decoding
+failure into a DataError naming its line, and the artifacts' JSON codec: json_text, read_json."""
 
 import csv
 import json
@@ -44,10 +44,15 @@ def read_json(path: str | Path):
         raise DataError(f"{path} is not valid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", None)) from exc
 
 
+def json_text(doc) -> str:
+    """The text of every .json artifact: `doc` as compact JSON with sorted keys, on one line."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def csv_rows(fh, fields: tuple[str, ...], what: str):
     """Yield (line the row starts on, cells by header name, "" for a missing field)
     per non-blank data row of the CSV text `fh`. DataError for a header without
-    `fields`, and, naming its line, for a row the csv module rejects."""
+    `fields`, and, naming its line, for a row the csv module rejects or one with more cells than the header."""
     reader = csv.reader(fh)
     header = None
     while True:
@@ -62,5 +67,7 @@ def csv_rows(fh, fields: tuple[str, ...], what: str):
                 raise DataError(f"{what} header must contain {list(fields)}", line=1)
         elif cells is None:
             return
+        elif len(cells) > len(header):
+            raise DataError(f"row has {len(cells)} cells, the header {len(header)}", line=line)
         elif cells:
             yield line, dict.fromkeys(fields, "") | dict(zip(header, cells))

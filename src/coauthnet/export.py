@@ -44,13 +44,18 @@ _PALETTE = (
 )
 
 
+# The characters XML 1.0 cannot carry, that a str can: C0 controls but tab, LF and CR, U+FFFE and U+FFFF.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def escape(text: str) -> str:
-    """XML character data: the replacements of xml.sax.saxutils.escape, in its order.
+    """XML character data: the replacements of xml.sax.saxutils.escape, in its order,
+    then U+FFFD for each character XML 1.0 cannot carry.
 
     Importing xml.sax.saxutils pulls in urllib.request and its http, email
     and ssl imports, about 30 ms per process.
     """
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return _NOT_XML.sub("\ufffd", text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;"))
 
 
 @dataclass
@@ -193,15 +198,13 @@ def _on_circle(center: tuple[float, float], radius: float, count: int, i: int) -
 def _size_values(g: CoauthorshipGraph, spec: LayoutSpec) -> dict[str, float]:
     if spec.size_attr == "degree":
         return {code: float(g.degree(code)) for code in g.codes()}
-    if spec.size_attr == "paper_count":
-        values = {}
-        for code in g.codes():
-            count = g.node(code).paper_count
-            if count is None:
-                raise UsageError(f"node {code} has no paper count; use size_attr='degree' or 'none'")
-            values[code] = float(count)
-        return values
-    return {}
+    values = {}
+    for code in g.codes():
+        count = g.node(code).paper_count
+        if count is None:
+            raise UsageError(f"node {code} has no paper count; use size_attr='degree' or 'none'")
+        values[code] = float(count)
+    return values
 
 
 def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
@@ -261,6 +264,14 @@ def compute_layout(g: CoauthorshipGraph, spec: LayoutSpec) -> RenderedLayout:
     return RenderedLayout(positions, radii, edges, highlight)
 
 
+def _svg_header(width: float, height: float) -> str:
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:.0f}" height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
+        f'  <rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n'
+    )
+
+
 def render_network_svg(g: CoauthorshipGraph, layout: RenderedLayout) -> str:
     """Render the graph as a standalone SVG document; edges among the highlighted
     codes (center_top_k's top k) are drawn in a highlight stroke."""
@@ -269,12 +280,7 @@ def render_network_svg(g: CoauthorshipGraph, layout: RenderedLayout) -> str:
         return f"{value * _CANVAS:.2f}"
 
     out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_CANVAS:.0f}" height="{_CANVAS:.0f}" '
-        f'viewBox="0 0 {_CANVAS:.0f} {_CANVAS:.0f}">\n'
-    )
-    out.write(f'  <rect x="0" y="0" width="{_CANVAS:.0f}" height="{_CANVAS:.0f}" fill="#ffffff"/>\n')
+    out.write(_svg_header(_CANVAS, _CANVAS))
 
     normal, highlighted = [], []
     for a, b, _, width in layout.edges:
@@ -317,10 +323,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -358,11 +364,7 @@ def _line_chart_svg(x_values: list[float], columns: dict[str, list[float]]) -> s
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:.0f}" height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
-    )
-    out.write(f'  <rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>\n')
+    out.write(_svg_header(width, height))
     out.write('  <g stroke="#444444" stroke-width="1">\n')
     out.write(f'    <line x1="{left:.2f}" y1="{top + plot_h:.2f}" x2="{left + plot_w:.2f}" y2="{top + plot_h:.2f}"/>\n')
     out.write(f'    <line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" y2="{top + plot_h:.2f}"/>\n')

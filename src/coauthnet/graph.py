@@ -10,14 +10,13 @@ kept. A built graph is immutable by convention and safe to share.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import permutations
 from pathlib import Path
 
 from .countries import REGIONS, CountryRegistry, is_country_code
-from .errors import DataError, UsageError, read_json
+from .errors import DataError, UsageError, json_text, read_json
 from .ingest import YEAR_MAX, YEAR_MIN, CoverageStats, RecordSet, coverage_stats
 
 
@@ -181,9 +180,9 @@ class CoauthorshipGraph:
         return self.window == other.window and self._nodes == other._nodes and self._adj == other._adj
 
     def to_json(self) -> str:
-        """graph.json: sorted compact JSON of the window, the nodes and the edges [a, b, w] with a < b."""
+        """graph.json, as json_text spells it: the window, the nodes and the edges [a, b, w] with a < b."""
         doc = {"window": asdict(self.window), "nodes": [asdict(a) for a in self._nodes.values()], "edges": self.edges()}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return json_text(doc)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -206,16 +205,16 @@ class CoauthorshipGraph:
         return cls(nodes, adj, window)
 
 
-def graph_from_edges(edges, nodes=None, window: TimeWindow | None = None) -> CoauthorshipGraph:
+def graph_from_edges(edges, nodes=None) -> CoauthorshipGraph:
     """Build a graph directly from an edge list (weights default to 1).
 
     The builder of synthetic graphs and of read_pajek's graph: edges come in any
-    order and orientation, and node attributes beyond the code are left unset.
+    order and orientation, node attributes beyond the code are left unset, and the window is 0-0.
     """
     edges = [(*edge, 1) if len(edge) == 2 else edge for edge in edges]
     edges = sorted((min(a, b), max(a, b), w) for a, b, w in edges)
     codes = sorted({*(nodes or ()), *(code for a, b, _ in edges for code in (a, b))})
-    return CoauthorshipGraph(list(map(NodeAttr, codes)), _checked(codes, edges), window or TimeWindow(0, 0))
+    return CoauthorshipGraph(list(map(NodeAttr, codes)), _checked(codes, edges), TimeWindow(0, 0))
 
 
 def _add(totals: dict, delta: dict, sign: int) -> None:
@@ -290,11 +289,11 @@ class ResolvedCorpus:
         self.span: tuple[int, int] | None = (min(self._years), max(self._years)) if self._years else None
 
     def to_json(self) -> str:
-        """corpus.json: sorted compact JSON; per year [paper counts, links [a, b, w] with a < b, subject counts]."""
+        """corpus.json, as json_text spells it; per year [paper counts, links [a, b, w] with a < b, subject counts]."""
         years = {str(year): [counts, _links(adj), self.subjects[year]] for year, (counts, adj) in self._years.items()}
         doc = {"papers": self.papers, "with_affiliation": self.with_affiliation, "region": self.region,
                "unknown": self.unknown, "years": years}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return json_text(doc)
 
     @classmethod
     def load(cls, path: str | Path) -> "ResolvedCorpus":

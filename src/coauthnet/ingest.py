@@ -11,9 +11,11 @@ when it ends exactly at the line's end; any other line (blank, indented,
 with a BOM, trailing data or an int of too many digits) goes to json.loads,
 so every line gets a per-line json.loads's verdict and message. Each record
 is validated as it is read, its countries and subjects typed, stripped and
-de-duplicated in one walk; duplicate ids are found in the same pass, but
-the first is reported only after the last line, so a malformed line
-anywhere in the file wins. The records are then sorted in place.
+de-duplicated in one walk; a line holding a surrogate escape is also checked
+for a lone surrogate, which no UTF-8 artifact can hold. Duplicate ids are
+found in the same pass, but the first is reported only after the last line,
+so a malformed line anywhere in the file wins. The records are then sorted
+in place.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ YEAR_MAX = 2100
 DEFAULT_TOPIC_VARIANTS = ("chernobyl", "chornobyl")
 
 _FIELDS = ("id", "year", "text", "countries", "subjects")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 @dataclass
@@ -47,11 +51,11 @@ class PublicationRecord:
 
 @dataclass
 class CoverageStats:
-    kept_after_topic_filter: int = 0
-    with_affiliation: int = 0
-    affiliation_fraction: float = 0.0
-    unknown_country_names: list[tuple[str, int]] = field(default_factory=list)
-    empty_corpus: bool = True
+    kept_after_topic_filter: int
+    with_affiliation: int
+    affiliation_fraction: float
+    unknown_country_names: list[tuple[str, int]]
+    empty_corpus: bool
 
 
 @dataclass
@@ -119,6 +123,10 @@ def _jsonl_objects(fh):
                 raise DataError("invalid JSON: nested too deeply", line=line) from exc
         if not isinstance(obj, dict):
             raise DataError("each line must hold a JSON object", line=line)
+        if "\\u" in raw and _SURROGATE_ESCAPE.search(raw):
+            r = _record_from_fields(obj, line)
+            if _SURROGATE.search("".join([r.id, r.text, *r.raw_countries, *r.subjects])):
+                raise DataError(f"record {r.id!r}: a string holds a lone surrogate", line=line)
         yield line, obj
 
 
@@ -128,10 +136,9 @@ def _csv_objects(fh):
         year_raw = row["year"].strip()
         if not year_raw:
             raise DataError("missing year", line=line)
-        try:
-            year: object = int(year_raw)
-        except ValueError:
-            raise DataError(f"year {year_raw!r} is not an integer", line=line) from None
+        if not (year_raw.isascii() and year_raw.isdigit()):
+            raise DataError(f"year {year_raw!r} is not an integer in ASCII digits", line=line)
+        year = int(year_raw)
         lists = {name: row[name].split(";") for name in ("countries", "subjects")}
         yield line, {**row, "id": row["id"].strip(), "year": year, **lists}
 

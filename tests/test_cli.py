@@ -3,6 +3,7 @@ import json
 import random
 import runpy
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,40 @@ def test_record_int_of_too_many_digits_is_data_exit(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["id", "text", "countries", "subjects"])
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_record_lone_surrogate_is_data_exit(tmp_path, capsys, command, field):
+    # A \ud800 escape with no low surrogate after it decodes to a string no UTF-8 artifact can hold.
+    record = {"id": "b", "year": 1986, "text": "Chernobyl", "countries": ["Ukraine"], "subjects": ["Bio"]}
+    record[field] = [record[field][0] + "\ud800"] if field in ("countries", "subjects") else record[field] + "\ud800"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "year": 1986}\n' + json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(command, "--input", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2: record ") and err.endswith(": a string holds a lone surrogate\n")
+    assert [p.name for p in out.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_report_svgs_parse_whatever_the_subjects(tmp_path, capsys, fmt):
+    # XML 1.0 cannot carry C0 controls other than tab, LF and CR, nor U+FFFE and U+FFFF.
+    subjects = ["Phys\x01ics", "Geo\x0blogy", "Bio\ufffelogy\uffff"]
+    if fmt == "jsonl":
+        path = write_jsonl(tmp_path / "in.jsonl", [
+            {"id": "a", "year": 1986, "text": "Chernobyl", "countries": ["Ukraine", "USSR"], "subjects": subjects},
+        ])
+    else:  # the raw bytes in a CSV cell
+        path = tmp_path / "in.csv"
+        path.write_text("id,year,text,countries,subjects\na,1986,Chernobyl,Ukraine;USSR," + ";".join(subjects) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("report", "--input", path, "--format", fmt, "--out", out) == 0
+    for svg in sorted(out.glob("*.svg")):
+        ET.parse(svg)
+    legend = (out / "disciplines.svg").read_text(encoding="utf-8")
+    assert all(f">{s}</text>" in legend for s in ("Phys\ufffdics", "Geo\ufffdlogy", "Bio\ufffdlogy\ufffd"))
+
+
 def test_failed_ingest_leaves_no_artifact_and_no_section(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "year": 1986}\nnot json\n', encoding="utf-8")
@@ -455,11 +490,13 @@ def test_bad_flag_value_writes_no_artifact(tmp_path, capsys, flag, value):
 # registry countries, 10,000 records), recorded before the dense metrics
 # kernel replaced the per-node BFS loops; a faster kernel must keep them.
 # smallworld.json was re-pinned when the keyed small-world draw replaced
-# rng.sample (the ensemble is the same, the samples are not).
+# rng.sample (the ensemble is the same, the samples are not). The three .json
+# pins were re-pinned when every .json artifact became compact sorted JSON on
+# one line (errors.json_text): the same documents, without indent=2.
 CRITERION_9_DIGESTS = {
-    "smallworld.json": "acdab174137b48f128d68b80109d192616c1449e02c8ed489f8544957e11f596",
-    "summary.json": "b3933843a66a2f6fc052accf7bba656af0d75a04deceefdcd1072e992271d9db",
-    "centrality.json": "3f05745d47b97023b75b90e79d61c1068802e719bf6e62af049448c72dbc4734",
+    "smallworld.json": "2de15aa58deef512ccf9f5b8199489f3772e4a465352d7d4c98469acd4b629e5",
+    "summary.json": "0598e3766485a22bf7d07e18d34c6ecc9c1f729d84cfbbfc07f9a20a26134c01",
+    "centrality.json": "f89789d8c74ec0db7cd60f8227a685f0d80b49eb9db1a12582b626db9413a5e6",
     "series_summary.csv": "92cdf96b555c87caa11fe7a10a9ff1fdaea3e90081986bb9ae21dddc4e5716bb",
     "snapshots.csv": "2edd51ea703ebe25c48822a4c412542cc8ff0022f0ff6ff0ea3154ee532ceeb3",
 }

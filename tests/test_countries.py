@@ -34,7 +34,7 @@ def test_lookup_trims_and_ignores_case(registry):
 
 
 def test_normalization_invariant_over_all_aliases(registry):
-    for entry in registry:
+    for entry in map(registry.get, registry.codes()):
         for alias in (entry.code, entry.display_name, *entry.aliases):
             assert registry.resolve(alias) is entry
             assert registry.resolve(alias.lower().strip()) is entry
@@ -42,7 +42,7 @@ def test_normalization_invariant_over_all_aliases(registry):
 
 
 def test_every_entry_has_one_known_region(registry):
-    for entry in registry:
+    for entry in map(registry.get, registry.codes()):
         assert entry.region in REGIONS
 
 
@@ -72,9 +72,26 @@ def test_registry_from_csv(tmp_path):
         encoding="utf-8",
     )
     reg = CountryRegistry.from_csv(path)
-    assert len(reg) == 2
+    assert reg.codes() == ["SUN", "UKR"]
     assert reg.resolve("cccp").code == "SUN"
     assert reg.resolve("ukraine").code == "UKR"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # an unquoted alias list: Kyiv would be dropped
+        ("UKR,Ukraine,Europe,false,Ukrainian SSR,Kyiv\n", "line 2: row has 6 cells, the header 5"),
+        ('UKR,Ukraine,Europe,false,"Ukrainian SSR;\nKyiv"\nSUN,USSR,Europe,true,,,\n', "line 4: row has 7 cells, the header 5"),
+    ],
+    ids=["unquoted-alias", "after-quoted-newline"],
+)
+def test_registry_csv_row_wider_than_header(tmp_path, rows, message):
+    path = tmp_path / "registry.csv"
+    path.write_text("code,display_name,region,historic,aliases\n" + rows, encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        CountryRegistry.from_csv(path)
+    assert str(info.value) == message
 
 
 def test_registry_csv_validation(tmp_path):

@@ -208,6 +208,43 @@ def test_parse_csv_missing_year_names_line(tmp_path):
         parse_records(path, "csv")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # an unquoted comma in the text moves every later cell one column right
+        ("a,1990,chernobyl, Kyiv,Ukraine;France,Physics\n", "line 2: row has 6 cells, the header 5"),
+        ("a,1990,x,,\nb,1991,x,,,\n", "line 3: row has 6 cells, the header 5"),
+        ('a,1990,"x\ny",,\nb,1991,x,,,,\n', "line 4: row has 7 cells, the header 5"),
+        ("a,1_990,x,,\n", "line 2: year '1_990' is not an integer in ASCII digits"),
+        ("a,+1991,x,,\n", "line 2: year '+1991' is not an integer in ASCII digits"),
+        ("a,\u0661\u0669\u0669\u0660,x,,\n", "line 2: year '\u0661\u0669\u0669\u0660' is not an integer in ASCII digits"),
+        ("a,\uff11\uff19\uff19\uff10,x,,\n", "line 2: year '\uff11\uff19\uff19\uff10' is not an integer in ASCII digits"),
+    ],
+    ids=["wide-row", "wide-second-row", "wide-row-after-quoted-newline", "underscore-year", "plus-year",
+         "arabic-indic-year", "fullwidth-year"],
+)
+def test_parse_csv_keeps_every_cell_and_reads_years_strictly(tmp_path, rows, message):
+    path = tmp_path / "records.csv"
+    path.write_text("id,year,text,countries,subjects\n" + rows, encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        parse_records(path, "csv")
+    assert str(info.value) == message
+
+
+def test_parse_csv_year_may_be_padded(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("id,year,text,countries,subjects\na, 1990 ,x,,\nb,01991,x,,\n", encoding="utf-8")
+    assert [r.year for r in parse_records(path, "csv").records] == [1990, 1991]
+
+
+def test_surrogate_pair_escape_is_one_character(tmp_path):
+    # A \ud83d\ude00 pair decodes to one astral character, not to two lone surrogates.
+    path = write_jsonl(tmp_path / "r.jsonl", [{"id": "a\U0001f600", "year": 1990, "subjects": ["\\ud800"]}])
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    (record,) = parse_records(path).records
+    assert (record.id, record.subjects) == ("a\U0001f600", ["\\ud800"])
+
+
 def test_parse_csv_requires_header(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("id,year\np1,1986\n", encoding="utf-8")

@@ -1,9 +1,17 @@
 """Every reader of a file the user or an earlier run supplied turns bad
 bytes into DataError or UsageError, which the CLI reports as exit 2 or 1
-without a traceback. Nothing else may escape, whatever the bytes."""
+without a traceback. Nothing else may escape, whatever the bytes. And a
+`report` on any record strings either writes a tree whose every artifact
+decodes or parses, or is a data error naming its line."""
 
+import io
 import json
+import re
+import tempfile
+import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -172,3 +180,41 @@ def test_deeply_nested_json_is_data_exit(tmp_path, capsys, command, nested):
     assert main([command, *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+
+
+# Strings of any code point, now and then with a lone surrogate, a character XML 1.0 cannot
+# carry or U+2028 (a line break to str.splitlines), which st.characters draws too rarely.
+_CHARS = st.characters(exclude_categories=()) | st.sampled_from(["\x01", "\x0b", "\ufffe", "\ud800", "\u2028"])
+_STRING = st.text(max_size=6) | st.text(_CHARS, max_size=6)
+_TREE_RECORD = st.fixed_dictionaries(
+    {
+        "id": _STRING.map("r".__add__),
+        "year": st.integers(1985, 1988),
+        "text": _STRING.map("Chernobyl ".__add__),
+        "countries": st.lists(st.sampled_from(["Ukraine", "USSR", "France"]) | _STRING, max_size=3),
+        "subjects": st.lists(_STRING, max_size=3),
+    }
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=st.lists(_TREE_RECORD, min_size=1, max_size=4, unique_by=lambda r: r["id"]), ascii_only=st.booleans())
+def test_report_tree_decodes_or_names_the_line(records, ascii_only):
+    # Without ensure_ascii a lone surrogate goes to the file as its surrogatepass bytes, which are not UTF-8.
+    text = "".join(json.dumps(r, ensure_ascii=ascii_only) + "\n" for r in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.jsonl", Path(tmp) / "out"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["report", "--input", str(path), "--sw-samples", "2", "--out", str(out)])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert re.match(r"data error: line \d+: ", err.getvalue()), err.getvalue()
+            return
+        for artifact in sorted(out.iterdir()):
+            if artifact.suffix in (".json", ".jsonl"):
+                # one document per "\n" line: str.splitlines would also split at a raw U+2028 inside a string
+                [json.loads(line) for line in artifact.read_text(encoding="utf-8").split("\n")[:-1]]
+            elif artifact.suffix == ".svg":
+                ET.parse(artifact)
