@@ -8,9 +8,10 @@ config.json all read it. A standalone stage takes no flag that shaped its
 cached input. Before writing, a stage deletes its own artifacts and those
 of every stage downstream of it, report.md included. config.json holds
 {stage: {flag: value}}: a stage rewrites its own section and drops those
-downstream of it. `report` hands the corpus and graph to the stages in
-memory and writes the same bytes as the stages run in sequence, config.json
-included. Each artifact is written to a temporary name, then renamed.
+downstream of it. `report` runs the stages, handing the corpus and graph over
+in memory, so it writes the same bytes as the stages run in sequence, config.json
+included, then renders report.md from the documents written (render_report).
+Each artifact is written to a temporary name, then renamed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,11 +28,11 @@ from typing import NamedTuple
 from .countries import CountryRegistry, builtin_registry
 from .errors import DataError, UsageError, json_text, read_json
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, compute_layout, emit_series, render_network_svg, write_dot
-from .export import RenderedLayout, write_pajek
+from .export import write_pajek
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
 from .metrics import CLUSTERING_MODES, DEFAULT_CLUSTERING_MODE, centrality_table, degree_distribution, is_clique
-from .metrics import small_world, summary, top_k_by_degree
+from .metrics import small_world, summary
 from .temporal import WINDOW_MODES, densification_fit, densification_snapshots, discipline_series
 from .temporal import first_year_series, metric_series, slice_windows
 
@@ -51,17 +53,15 @@ STAGES = (
     Stage("metrics", "summary, centralities, degree histogram, small-world report", "graph.json",
           ("summary.json", "centrality.json", "degree_histogram.json", "smallworld.json"),
           ("clustering_mode", "sw_samples", "seed")),
-    Stage("slice", "cut the corpus into time windows and emit per-window series", "corpus.json",
-          ("windows.json", "series_summary.csv"), ("window_length", "step", "mode", "clustering_mode")),
+    Stage("slice", "cut the corpus into time windows and emit the per-window and per-year series", "corpus.json",
+          ("windows.json", "series_summary.csv", "first_years.json", "regions_cumulative.csv",
+           "regions_cumulative.svg", "disciplines.csv", "disciplines.svg"),
+          ("window_length", "step", "mode", "clustering_mode")),
     Stage("densify", "fit the links-vs-nodes power law over cumulative snapshots", "corpus.json",
           ("snapshots.csv", "densification.json"), ("window_length",)),
     Stage("export", "write Pajek/DOT/SVG renderings of the graph", "graph.json",
           ("network.net", "network.clu", "network.dot", "network.svg"), ("layout", "size_attr", "gamma", "top_k")),
 )
-
-# What only `report` writes: it reads every stage's output, so every stage invalidates it.
-_REPORT_WRITES = ("first_years.json", "regions_cumulative.csv", "regions_cumulative.svg", "disciplines.csv",
-                  "disciplines.svg", "report.md")
 
 # Every flag but --out, by dest, in usage order; the layout flags default to LayoutSpec's fields.
 _FLAGS = {
@@ -126,12 +126,14 @@ def build_parser() -> _Parser:
 
 
 class OutputDir:
-    """The output directory: every artifact is written through it, in the order report.md lists."""
+    """The output directory: every artifact is written through it, in the order report.md lists.
+    `docs` keeps each JSON document written, by artifact name, for render_report."""
 
     def __init__(self, root: Path):
         root.mkdir(parents=True, exist_ok=True)
         self.root = root
         self.names: list[str] = []
+        self.docs: dict = {}
 
     @contextmanager
     def path(self, name: str):
@@ -150,6 +152,7 @@ class OutputDir:
 
     def json(self, name: str, payload) -> None:
         self.text(name, json_text(payload))
+        self.docs[name] = payload
 
 
 def _cached(root: Path, name: str) -> Path:
@@ -206,28 +209,28 @@ def _smallworld_doc(graph: CoauthorshipGraph, cfg: argparse.Namespace) -> dict:
     return {**vars(report), "sigma": report.sigma if math.isfinite(report.sigma) else None}
 
 
-def stage_metrics(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> dict:
-    graph_summary = summary(graph, cfg.clustering_mode)
-    out.json("summary.json", vars(graph_summary))
-    table = centrality_table(graph, cfg.clustering_mode)
-    out.json("centrality.json", table)
+def stage_metrics(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> None:
+    out.json("summary.json", vars(summary(graph, cfg.clustering_mode)))
+    out.json("centrality.json", centrality_table(graph, cfg.clustering_mode))
     out.json("degree_histogram.json", degree_distribution(graph))
-    sw_doc = _smallworld_doc(graph, cfg)
-    out.json("smallworld.json", sw_doc)
-    return {"summary": graph_summary, "centrality": table, "smallworld": sw_doc}
+    out.json("smallworld.json", _smallworld_doc(graph, cfg))
 
 
-def stage_slice(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> list:
+def stage_slice(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> None:
     windows = slice_windows(corpus.span, cfg.window_length, cfg.step, cfg.mode)
     out.json("windows.json", [[w.start_year, w.end_year] for w in windows])
     csv_text, _ = emit_series(metric_series(corpus, windows, cfg.clustering_mode))
     out.text("series_summary.csv", csv_text)
+    first_years, cumulative = first_year_series(corpus)
+    out.json("first_years.json", first_years)
+    for name, series in (("regions_cumulative", cumulative), ("disciplines", discipline_series(corpus))):
+        for suffix, text in zip(("csv", "svg"), emit_series(series)):
+            out.text(f"{name}.{suffix}", text)
     for window in windows:
         print(window.label())
-    return windows
 
 
-def stage_densify(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> dict:
+def stage_densify(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> None:
     windows, pairs = densification_snapshots(corpus, cfg.window_length)
     rows = "".join(f"{w.start_year},{w.end_year},{n},{m}\n" for w, (n, m) in zip(windows, pairs))
     out.text("snapshots.csv", "start_year,end_year,n,m\n" + rows)
@@ -236,7 +239,6 @@ def stage_densify(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDi
     except UsageError as exc:
         doc = {"skipped": str(exc)}
     out.json("densification.json", doc)
-    return doc
 
 
 def _layout_spec(cfg: argparse.Namespace) -> LayoutSpec:
@@ -252,15 +254,13 @@ def _check_config(cfg: argparse.Namespace) -> None:
             raise UsageError(f"{name} must be >= {floor}")
 
 
-def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> RenderedLayout:
-    """Render all four texts first, so a graph that cannot be drawn leaves no file.
-    Returns the layout drawn, whose highlight is center_top_k's ranked top k."""
+def stage_export(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: OutputDir) -> None:
+    """Render all four texts first, so a graph that cannot be drawn leaves no file."""
     net, clu = write_pajek(graph)
     layout = compute_layout(graph, _layout_spec(cfg))
     dot, svg = write_dot(graph, layout), render_network_svg(graph, layout)
     for suffix, text in (("net", net), ("clu", clu), ("dot", dot), ("svg", svg)):
         out.text(f"network.{suffix}", text)
-    return layout
 
 
 def _pct(fraction: float) -> str:
@@ -274,43 +274,55 @@ def _pairs_text(pairs) -> str:
     return ", ".join(shown) if shown else "none"
 
 
-def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, densify_doc, windows, artifacts) -> str:
-    s = graph_summary
-    lines = ["# Country coauthorship network report", ""]
+_MD_PUNCT = re.compile(r"([!-/:-@\[-`{-~])")
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
-    lines += ["## Corpus", ""]
-    lines.append(f"- records after topic filter: {cov.kept_after_topic_filter}")
-    lines.append(f"- records with affiliation countries: {cov.with_affiliation} ({_pct(cov.affiliation_fraction)})")
-    shown = ", ".join(f"{name} ({count})" for name, count in cov.unknown_country_names[:5])
+
+def _md_text(text: str) -> str:
+    """Input text as Markdown that opens no structure: a backslash before each ASCII
+    punctuation character (CommonMark 0.31.2 escapes them all) and a space for each line ending."""
+    return _MD_PUNCT.sub(r"\\\1", _LINE_END.sub(" ", text))
+
+
+def render_report(docs: dict, graph: CoauthorshipGraph, artifacts: list[str]) -> str:
+    """report.md from the JSON documents the stages wrote, by artifact name (config.json, coverage.json,
+    summary.json, centrality.json, smallworld.json, densification.json, windows.json), the graph
+    (for the clique test only) and the artifact names in write order."""
+    config, cov, s = docs["config.json"], docs["coverage.json"], docs["summary.json"]
+    sw_doc, densify_doc = docs["smallworld.json"], docs["densification.json"]
+    lines = ["# Country coauthorship network report", "", "## Corpus", ""]
+    lines.append(f"- records after topic filter: {cov['kept_after_topic_filter']}")
+    lines.append(f"- records with affiliation countries: {cov['with_affiliation']} "
+                 f"({_pct(cov['affiliation_fraction'])})")
+    shown = ", ".join(f"{_md_text(name)} ({count})" for name, count in cov["unknown_country_names"][:5])
     lines.append(f"- unresolved country names: {shown or 'none'}")
-    lines.append("")
 
-    lines += ["## Network summary", ""]
-    lines.append(f"- nodes: {s.n}")
-    lines.append(f"- links: {s.m} (density: {s.density:.2f})")
-    lines.append(f"- average degree: {s.mean_degree:.1f}")
-    holders = ", ".join(s.max_degree_codes) if s.max_degree_codes else "none"
-    lines.append(f"- max degree: {s.max_degree} ({holders})")
-    lines.append(f"- diameter: {s.diameter} ({_pairs_text(s.diameter_endpoints)})")
-    lines.append(f"- mean path length: {s.mean_path_length:.2f}")
-    lines.append(f"- clustering coefficient: {s.avg_clustering:.2f} ({s.clustering_mode})")
-    lines.append(f"- isolated nodes: {s.isolated_count} ({_pct(s.isolated_fraction)})")
-    lines.append(f"- giant component: {s.giant_size} ({_pct(s.giant_fraction)})")
-    lines.append("")
+    lines += ["", "## Network summary", ""]
+    lines.append(f"- nodes: {s['n']}")
+    lines.append(f"- links: {s['m']} (density: {s['density']:.2f})")
+    lines.append(f"- average degree: {s['mean_degree']:.1f}")
+    lines.append(f"- max degree: {s['max_degree']} ({', '.join(s['max_degree_codes']) or 'none'})")
+    lines.append(f"- diameter: {s['diameter']} ({_pairs_text(s['diameter_endpoints'])})")
+    lines.append(f"- mean path length: {s['mean_path_length']:.2f}")
+    lines.append(f"- clustering coefficient: {s['avg_clustering']:.2f} ({s['clustering_mode']})")
+    lines.append(f"- isolated nodes: {s['isolated_count']} ({_pct(s['isolated_fraction'])})")
+    lines.append(f"- giant component: {s['giant_size']} ({_pct(s['giant_fraction'])})")
 
-    lines += ["## Top countries by degree", ""]
+    lines += ["", "## Top countries by degree", ""]
+    # top_k_by_degree's rule, read off centrality.json.
+    top_rows = sorted(docs["centrality.json"], key=lambda r: (-r["degree"], r["code"]))[: config["export"]["top_k"]]
     if top_rows:
         lines += ["| rank | code | degree | betweenness | closeness |", "| --- | --- | --- | --- | --- |"]
         lines += [
             f"| {rank} | {row['code']} | {row['degree']} | {row['betweenness']:.4f} | {row['closeness']:.4f} |"
             for rank, row in enumerate(top_rows, start=1)
         ]
+        top_clique = is_clique(graph, [row["code"] for row in top_rows])
         lines += ["", f"- these {len(top_rows)} countries form a clique: {'yes' if top_clique else 'no'}"]
     else:
         lines.append("(empty graph)")
-    lines.append("")
 
-    lines += ["## Small-world comparison", ""]
+    lines += ["", "## Small-world comparison", ""]
     if "skipped" in sw_doc:
         lines.append(f"- skipped: {sw_doc['skipped']}")
     else:
@@ -319,9 +331,8 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
         sigma = sw_doc["sigma"]
         sigma_text = f"{sigma:.3f}" if isinstance(sigma, float) else "undefined (zero baseline clustering)"
         lines.append(f"- sigma: {sigma_text} (samples: {sw_doc['sample_count']}, seed: {sw_doc['seed']})")
-    lines.append("")
 
-    lines += ["## Densification fit (links vs nodes, cumulative snapshots)", ""]
+    lines += ["", "## Densification fit (links vs nodes, cumulative snapshots)", ""]
     if "skipped" in densify_doc:
         lines.append(f"- skipped: {densify_doc['skipped']}")
     else:
@@ -331,14 +342,12 @@ def _report_markdown(cfg, cov, graph_summary, top_rows, top_clique, sw_doc, dens
         lines.append(f"- c: {densify_doc['c']:.4g}")
         lines.append(f"- r_squared: {r2_text}")
         lines.append(f"- points used: {densify_doc['points_used']} (excluded: {len(densify_doc['excluded'])})")
-    lines.append("")
 
-    lines += ["## Time windows", ""]
-    lines.append(f"- mode: {cfg.mode}, length: {cfg.window_length}, step: {cfg.step}")
-    lines.append(f"- windows: {', '.join(w.label() for w in windows) if windows else 'none'}")
-    lines.append("")
+    lines += ["", "## Time windows", ""]
+    lines.append("- mode: {mode}, length: {window_length}, step: {step}".format(**config["slice"]))
+    lines.append(f"- windows: {', '.join(f'{a}-{b}' for a, b in docs['windows.json']) or 'none'}")
 
-    lines += ["## Artifacts", ""]
+    lines += ["", "## Artifacts", ""]
     lines += [f"- [{name}]({name})" for name in artifacts]
     lines.append("")
     return "\n".join(lines)
@@ -348,27 +357,10 @@ def stage_report(cfg: argparse.Namespace, registry: CountryRegistry, out: Output
     # Results by stage name: a stage gets the registry or what the stage writing its input returned.
     results = {}
     for stage in STAGES:
-        if stage.name == "export":  # report.md lists the report-only series before the network files
-            corpus = results["ingest"]
-            first_years, cumulative = first_year_series(corpus)
-            out.json("first_years.json", first_years)
-            regions_csv, regions_svg = emit_series(cumulative)
-            out.text("regions_cumulative.csv", regions_csv)
-            out.text("regions_cumulative.svg", regions_svg)
-            disc_csv, disc_svg = emit_series(discipline_series(corpus))
-            out.text("disciplines.csv", disc_csv)
-            out.text("disciplines.svg", disc_svg)
         consumed = results[_upstream(stage)[0].name] if _upstream(stage) else registry
         # Through the module attribute, so that a wrapper bound to stage_<name> sees the call.
         results[stage.name] = globals()[f"stage_{stage.name}"](cfg, consumed, out)
-    graph, met = results["build"], results["metrics"]
-    by_code = {row["code"]: row for row in met["centrality"]}
-    # center_top_k drew the top k already; rank it here only for the other layouts.
-    top = results["export"].highlight if cfg.layout == "center_top_k" else top_k_by_degree(graph, cfg.top_k)
-    top_rows = [by_code[code] for code in top]
-    top_clique = is_clique(graph, [row["code"] for row in top_rows])
-    sections = (met["summary"], top_rows, top_clique, met["smallworld"], results["densify"], results["slice"])
-    out.text("report.md", _report_markdown(cfg, corpus.coverage, *sections, out.names))
+    out.text("report.md", render_report(out.docs, results["build"], out.names))
     print(f"report written to {out.root / 'report.md'}")
 
 
@@ -388,7 +380,7 @@ def main(argv=None) -> int:
         for stage in stages if cfg.command == "report" else stages[:1]:
             config[stage.name] = {flag: getattr(cfg, flag) for flag in stage.flags}
         out = OutputDir(root)
-        invalidated = [*(artifact for s in stages for artifact in s.writes), *_REPORT_WRITES]
+        invalidated = [*(artifact for s in stages for artifact in s.writes), "report.md"]
         for name in invalidated:
             (root / name).unlink(missing_ok=True)
         out.json("config.json", config)

@@ -78,9 +78,9 @@ class LayoutSpec:
 
 @dataclass
 class RenderedLayout:
-    """What write_dot and render_network_svg draw: node positions and radii, each edge as
-    (a, b, weight, width) in g.edges() order, and the highlighted codes: center_top_k's top k
-    as ranked by top_k_by_degree, empty for the other layouts."""
+    """What write_dot and render_network_svg draw, and nothing else reads: node positions and radii,
+    each edge as (a, b, weight, width) in g.edges() order, and the highlighted codes: center_top_k's
+    top k as ranked by top_k_by_degree (report.md ranks its rows from centrality.json), else empty."""
 
     positions: dict[str, tuple[float, float]]
     radii: dict[str, float]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import runpy
 import tempfile
 import xml.etree.ElementTree as ET
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from coauthnet import CoauthorshipGraph, cli, export, metrics
 from coauthnet.cli import main
 from coauthnet.countries import REGIONS
+from coauthnet.errors import read_json
 from coauthnet.export import LAYOUT_KINDS, read_pajek
 
 from conftest import FIXTURE_CORPUS, synthetic_corpus_rows, write_jsonl
+from tree_checks import tree_faults
 
 
 def run(*args):
@@ -47,6 +50,72 @@ def test_report_links_every_artifact_in_write_order(tmp_path, capsys):
     assert sorted(links) == sorted(p.name for p in out.iterdir() if p.name != "report.md")
     mtimes = [(out / name).stat().st_mtime_ns for name in [*links, "report.md"]]
     assert mtimes == sorted(mtimes)
+
+
+_HEADINGS = [
+    "## Corpus",
+    "## Network summary",
+    "## Top countries by degree",
+    "## Small-world comparison",
+    "## Densification fit (links vs nodes, cumulative snapshots)",
+    "## Time windows",
+    "## Artifacts",
+]
+
+
+def _links(text):
+    """The link targets of Markdown `text`: each `](` not escaped by a backslash."""
+    return re.findall(r"(?<!\\)\]\(([^)]*)\)", text)
+
+
+def test_report_md_takes_no_markdown_from_its_input(tmp_path, capsys):
+    rows = [{"id": "a", "year": 1990, "text": "chernobyl", "countries": ["Foo](missing.json)\n## Fake"]}]
+    out = tmp_path / "out"
+    assert run("report", "--input", write_jsonl(tmp_path / "one.jsonl", rows), "--sw-samples", 1, "--out", out) == 0
+    lines = (out / "report.md").read_text(encoding="utf-8").split("\n")
+    assert [line for line in lines if line.startswith("## ")] == _HEADINGS
+    assert "- unresolved country names: Foo\\]\\(missing\\.json\\) \\#\\# Fake (1)" in lines
+    assert "missing.json" not in _links("\n".join(lines))
+
+
+_MARKUP = st.sampled_from(["]", "(", ")", "#", "<", "`", "*", "\n", "\r"])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(names=st.lists(st.lists(_MARKUP | st.text(max_size=3), min_size=1, max_size=10).map("".join), max_size=4))
+def test_report_md_structure_whatever_the_unresolved_names(names):
+    # A line ending in a name could start a heading, and `](`...`)` a link.
+    rows = [
+        {"id": "a", "year": 1990, "text": "chernobyl", "countries": ["France", "Japan", *names]},
+        {"id": "b", "year": 1992, "text": "chernobyl", "countries": [*names[:2], "Ukraine"]},
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert run("report", "--input", write_jsonl(Path(tmp) / "r.jsonl", rows), "--sw-samples", 1, "--out", out) == 0
+        text = (out / "report.md").read_text(encoding="utf-8")
+        written = sorted(p.name for p in out.iterdir() if p.name != "report.md")
+    # CommonMark's line endings; an ATX heading may be indented by up to three spaces.
+    headings = [line.lstrip(" ") for line in re.split(r"\r\n|\r|\n", text) if line.lstrip(" ").startswith("#")]
+    assert headings == ["# Country coauthorship network report", *_HEADINGS]
+    expected = ["config.json", *(name for stage in _READS_FROM for name in _WRITES[stage])]
+    assert _links(text) == expected and sorted(expected) == written
+
+
+@pytest.mark.parametrize("layout", LAYOUT_KINDS)
+@pytest.mark.parametrize("corpus", ["fixture", "synthetic"])
+def test_report_md_is_rendered_from_the_tree(tmp_path, capsys, corpus, layout):
+    # render_report of the documents read back from the tree gives report.md byte for byte,
+    # so every number report.md prints is its JSON value as formatted there.
+    if corpus == "fixture":
+        corpus = FIXTURE_CORPUS
+    else:
+        rows = synthetic_corpus_rows(random.Random(7), 200, ["Ukraine", "France", "Japan", "Brazil", "Atlantis"])
+        corpus = write_jsonl(tmp_path / "synthetic.jsonl", rows)
+    out = tmp_path / "out"
+    assert run("report", "--input", corpus, "--layout", layout, "--top-k", 3, "--sw-samples", 3, "--out", out) == 0
+    text = (out / "report.md").read_text(encoding="utf-8")
+    docs = {path.name: read_json(path) for path in out.glob("*.json")}
+    assert cli.render_report(docs, CoauthorshipGraph.load(out / "graph.json"), _links(text)) == text
 
 
 def test_slice_lists_windows(tmp_path, capsys):
@@ -251,8 +320,8 @@ def test_export_lays_the_graph_out_once(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("layout", LAYOUT_KINDS)
 def test_report_ranks_the_top_k_once(tmp_path, monkeypatch, capsys, layout):
-    # report.md's top-k rows reuse the ranking that center_top_k drew; the
-    # other layouts draw none, so the report ranks once for its rows.
+    # Only center_top_k's layout calls top_k_by_degree; report.md ranks its rows from
+    # centrality.json by the same rule, so the two spellings must give the same codes.
     calls = []
     rank = metrics.top_k_by_degree
 
@@ -261,9 +330,14 @@ def test_report_ranks_the_top_k_once(tmp_path, monkeypatch, capsys, layout):
         return rank(g, k)
 
     for module in (cli, export):
-        monkeypatch.setattr(module, "top_k_by_degree", counted)
-    assert run("report", "--input", FIXTURE_CORPUS, "--layout", layout, "--out", tmp_path / "out") == 0
-    assert calls == [10]
+        if hasattr(module, "top_k_by_degree"):
+            monkeypatch.setattr(module, "top_k_by_degree", counted)
+    out = tmp_path / "out"
+    assert run("report", "--input", FIXTURE_CORPUS, "--layout", layout, "--top-k", 3, "--out", out) == 0
+    assert calls == ([3] if layout == "center_top_k" else [])
+    lines = (out / "report.md").read_text(encoding="utf-8").splitlines()
+    ranked = [line.split(" | ")[1] for line in lines if line.startswith("| ") and line[2].isdigit()]
+    assert ranked == rank(CoauthorshipGraph.load(out / "graph.json"), 3)
 
 
 @pytest.mark.parametrize("command", ["ingest", "report"])
@@ -459,11 +533,13 @@ def test_report_equals_staged_run(tmp_path, capsys, corpus):
     assert run("ingest", "--input", corpus, *flags, "--out", staged) == 0
     for stage in ("build", "metrics", "slice", "densify", "export"):
         assert run(stage, *flags, "--out", staged) == 0
+    # The staged sequence writes every file of report but report.md.
     staged_names = sorted(p.name for p in staged.iterdir())
-    assert set(staged_names) <= {p.name for p in report.iterdir()}
-    assert len(staged_names) == 17
+    assert staged_names == sorted(p.name for p in report.iterdir() if p.name != "report.md")
+    assert len(staged_names) == 22
     for name in staged_names:
         assert (report / name).read_bytes() == (staged / name).read_bytes(), name
+    assert tree_faults(report) == [] and tree_faults(staged) == []
 
 
 @pytest.mark.parametrize(
@@ -521,17 +597,18 @@ _WRITES = {
     "ingest": ["corpus.json", "records.jsonl", "coverage.json"],
     "build": ["graph.json"],
     "metrics": ["summary.json", "centrality.json", "degree_histogram.json", "smallworld.json"],
-    "slice": ["windows.json", "series_summary.csv"],
-    "densify": ["snapshots.csv", "densification.json"],
-    "export": ["network.net", "network.clu", "network.dot", "network.svg"],
-    "report": [
+    "slice": [
+        "windows.json",
+        "series_summary.csv",
         "first_years.json",
         "regions_cumulative.csv",
         "regions_cumulative.svg",
         "disciplines.csv",
         "disciplines.svg",
-        "report.md",
     ],
+    "densify": ["snapshots.csv", "densification.json"],
+    "export": ["network.net", "network.clu", "network.dot", "network.svg"],
+    "report": ["report.md"],
 }
 # The stage whose output each stage reads.
 _READS_FROM = {"ingest": None, "build": "ingest", "metrics": "build", "slice": "ingest", "densify": "ingest", "export": "build"}
