@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .countries import CountryRegistry, builtin_registry
 from .errors import DataError, UsageError, json_text, read_json
 from .export import LAYOUT_KINDS, SIZE_ATTRS, LayoutSpec, compute_layout, emit_series, render_network_svg, write_dot
-from .export import write_pajek
+from .export import write_pajek, write_window_series
 from .graph import CoauthorshipGraph, ResolvedCorpus
 from .ingest import DEFAULT_TOPIC_VARIANTS, filter_topic, load_variants, parse_records, write_records_jsonl
 from .metrics import CLUSTERING_MODES, DEFAULT_CLUSTERING_MODE, centrality_table, degree_distribution, is_clique
@@ -219,8 +219,7 @@ def stage_metrics(cfg: argparse.Namespace, graph: CoauthorshipGraph, out: Output
 def stage_slice(cfg: argparse.Namespace, corpus: ResolvedCorpus, out: OutputDir) -> None:
     windows = slice_windows(corpus.span, cfg.window_length, cfg.step, cfg.mode)
     out.json("windows.json", [[w.start_year, w.end_year] for w in windows])
-    csv_text, _ = emit_series(metric_series(corpus, windows, cfg.clustering_mode))
-    out.text("series_summary.csv", csv_text)
+    out.text("series_summary.csv", write_window_series(metric_series(corpus, windows, cfg.clustering_mode)))
     first_years, cumulative = first_year_series(corpus)
     out.json("first_years.json", first_years)
     for name, series in (("regions_cumulative", cumulative), ("disciplines", discipline_series(corpus))):

@@ -400,23 +400,25 @@ def _line_chart_svg(x_values: list[float], columns: dict[str, list[float]]) -> s
     return out.getvalue()
 
 
-def emit_series(series) -> tuple[str, str | None]:
-    """Serialize a series to CSV; a year mapping also gets a line chart SVG.
+def write_window_series(series: WindowSeries) -> str:
+    """Serialize a WindowSeries to CSV: one row per window, one column per SUMMARY_SELECTORS value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["start_year", "end_year", *SUMMARY_SELECTORS])
+    for window, row in zip(series.windows, series.rows):
+        writer.writerow([window.start_year, window.end_year, *map(_format_cell, row)])
+    return buf.getvalue()
 
-    Accepts a WindowSeries (one row per window, no chart) or a mapping of
-    series key to {year: value} (one row per year, one column per key in
-    the mapping's order; missing cells are 0). With no year the chart draws
-    its axes, y ticks and legend, but no x tick and no line.
+
+def emit_series(series: dict[str, dict[int, float]]) -> tuple[str, str]:
+    """Serialize a mapping of series key to {year: value} to CSV and a line chart SVG.
+
+    One row per year, one column per key in the mapping's order; missing
+    cells are 0. With no year the chart draws its axes, y ticks and legend,
+    but no x tick and no line.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-
-    if isinstance(series, WindowSeries):
-        writer.writerow(["start_year", "end_year", *SUMMARY_SELECTORS])
-        for window, row in zip(series.windows, series.rows):
-            writer.writerow([window.start_year, window.end_year, *map(_format_cell, row)])
-        return buf.getvalue(), None
-
     years = sorted({year for per_year in series.values() for year in per_year})
     writer.writerow(["year", *series])
     for year in years:

@@ -488,6 +488,22 @@ def test_custom_registry(tmp_path):
     assert any(name == "Estonia" for name, _ in coverage["unknown_country_names"])
 
 
+def test_shipped_registry_is_a_registry_template(tmp_path, capsys):
+    shipped = Path(cli.__file__).with_name("countries.csv")
+    default, flagged = tmp_path / "default", tmp_path / "flagged"
+    assert run("report", "--input", FIXTURE_CORPUS, "--out", default) == 0
+    assert run("report", "--input", FIXTURE_CORPUS, "--registry", shipped, "--out", flagged) == 0
+    names = sorted(p.name for p in default.iterdir())
+    assert names == sorted(p.name for p in flagged.iterdir())
+    for name in names:
+        if name != "config.json":
+            assert (default / name).read_bytes() == (flagged / name).read_bytes(), name
+    config = read_json(flagged / "config.json")
+    assert config["ingest"]["registry"] == str(shipped)
+    config["ingest"]["registry"] = None
+    assert config == read_json(default / "config.json")
+
+
 def test_sw_samples_and_seed_flags(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

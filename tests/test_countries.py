@@ -1,7 +1,20 @@
+import csv
+import hashlib
+import io
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from coauthnet import DataError, CountryRegistry, builtin_registry
 from coauthnet.countries import REGIONS
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CSV = REPO / "src" / "coauthnet" / "countries.csv"
+# Editing the built-in table changes this digest: re-pin it as a stated change.
+SHIPPED_CSV_SHA256 = "95156e918658fa5a67ac1b413bba2cb9c7972aa658a82107c4463b33652659aa"
 
 
 def test_historic_entities_resolve_to_own_codes(registry):
@@ -138,3 +151,39 @@ def test_registry_rejects_duplicates_and_collisions():
 
 def test_builtin_registry_is_cached():
     assert builtin_registry() is builtin_registry()
+
+
+def test_shipped_table_is_pinned():
+    assert hashlib.sha256(SHIPPED_CSV.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256
+
+
+def test_shipped_table_is_canonical_csv():
+    text = SHIPPED_CSV.read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["code", "display_name", "region", "historic", "aliases"]
+    assert {row[3] for row in rows[1:]} == {"true", "false"}
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == text
+
+
+def test_builtin_registry_is_the_shipped_table(registry):
+    assert registry.codes() == CountryRegistry.from_csv(SHIPPED_CSV).codes()
+    assert len(registry.codes()) == 176
+    assert [code for code in registry.codes() if registry.get(code).historic] == ["CSK", "DDR", "SUN", "YUG"]
+
+
+def test_shipped_table_is_package_data(tmp_path):
+    # build_py writes an egg-info into the tree it runs in, so it runs on a copy.
+    shutil.copy(REPO / "pyproject.toml", tmp_path)
+    shutil.copytree(REPO / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    build = tmp_path / "build"
+    subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()", "build_py", "--build-lib", build, "-q"],
+        cwd=tmp_path,
+        check=True,
+        capture_output=True,
+    )
+    package = build / "coauthnet"
+    assert (package / "countries.py").is_file()
+    assert (package / "countries.csv").read_bytes() == SHIPPED_CSV.read_bytes()

@@ -25,6 +25,7 @@ from coauthnet.export import (
     render_network_svg,
     write_dot,
     write_pajek,
+    write_window_series,
 )
 from coauthnet.graph import CoauthorshipGraph, NodeAttr, _checked, build_network, graph_from_edges
 from coauthnet.ingest import parse_records
@@ -398,17 +399,15 @@ def test_emit_series_missing_cells_are_zero():
     assert csv_text == "year,A,B\n1986,1,0\n1987,0,2\n"
 
 
-def test_emit_series_window_series():
+def test_write_window_series():
     ws = WindowSeries(
         windows=[TimeWindow(1986, 1990), TimeWindow(1991, 1995)],
         rows=[(2, 1, 1.0, 1.0, 1, 1, 1.0, 0.0, 0, 2), (3, 3, 1.0, 2.0, 2, 1, 1.0, 1.0, 0, 3)],
     )
-    csv_text, svg = emit_series(ws)
-    lines = csv_text.splitlines()
+    lines = write_window_series(ws).splitlines()
     assert lines[0] == "start_year,end_year," + ",".join(SUMMARY_SELECTORS)
     assert lines[1] == "1986,1990,2,1,1.0,1.0,1,1,1.0,0.0,0,2"
     assert len(lines) == 3
-    assert svg is None
 
 
 def test_emit_series_charts_well_formed():
